@@ -138,6 +138,8 @@ def _checked_axis(name: str, axis, lower=None, upper=None) -> np.ndarray:
     arr = np.asarray(axis, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise OutOfRangeError(f"{name} must be a nonempty 1-D axis")
+    if not np.all(np.isfinite(arr)):
+        raise OutOfRangeError(f"{name} must be finite")
     if np.any(np.diff(arr) <= 0.0) and arr.size > 1:
         raise OutOfRangeError(f"{name} must be strictly ascending")
     if lower is not None and arr[0] < lower:

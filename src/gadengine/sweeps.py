@@ -1,9 +1,9 @@
 """Parameter sweeps, figure-style presets, and deterministic CSV emission.
 
 A :class:`SweepSpec` names a target quantity, a swept axis, an optional
-series axis, and fixed parameters. ``run_sweep`` evaluates it into a flat
-table (series-major, sweep-minor row order); ``emit_csv`` writes the table
-with 12 significant digits so repeated runs are byte-identical.
+series axis, and fixed parameters. ``run_sweep`` evaluates it into a
+columnar table (series-major, sweep-minor row order); ``emit_csv`` streams
+the table with 12 significant digits so repeated runs are byte-identical.
 
 Presets fig1..fig7 bundle the stock sweeps. Constants that the preset family
 does not pin down elsewhere default to: pg = 0.9, hot gap 1, cold gap 0.5,
@@ -15,6 +15,9 @@ recorded in the emitted rows, so no output is ambiguous.
 from __future__ import annotations
 
 import math
+import os
+import sys
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -68,11 +71,96 @@ class SweepSpec:
     series: SeriesAxis | None = None
 
 
-@dataclass(frozen=True, eq=False)
+def _same_cell(a, b) -> bool:
+    return a == b or (a != a and b != b)
+
+
+class _RowView(Sequence):
+    """Read-only row-by-row view of a table's columns; each row is a tuple."""
+
+    __slots__ = ("_data", "_length")
+
+    def __init__(self, data: tuple, length: int):
+        self._data = data
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(zip(*(col[index] for col in self._data)))
+        return tuple(col[index] for col in self._data)
+
+    def __iter__(self):
+        return zip(*self._data)
+
+    def __eq__(self, other):
+        """Row-by-row equality, in which a NaN cell equals a NaN cell."""
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            len(row) == len(theirs) and all(map(_same_cell, row, theirs))
+            for row, theirs in zip(self, other)
+        )
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SweepTable:
+    """A CSV table stored column by column.
+
+    ``columns`` holds the column names and ``data`` one sequence of cells
+    per column, all of one length. Numeric columns are float64 arrays, which
+    ``emit_csv`` formats in bulk; any other column is a list whose cells go
+    through ``_fmt``. Build a table from ``data``, or from ``rows`` for small
+    tables, which are transposed once. ``rows`` is a read-only row view
+    derived from the columns.
+    """
+
     columns: tuple
-    rows: tuple
-    preamble: tuple = ()
+    data: tuple
+    preamble: tuple
+
+    def __init__(self, columns, rows=None, preamble=(), *, data=None):
+        columns = tuple(columns)
+        if (rows is None) == (data is None):
+            raise TypeError("SweepTable takes exactly one of rows and data")
+        if data is None:
+            rows = tuple(rows)
+            if any(len(row) != len(columns) for row in rows):
+                raise ValueError(f"every row needs {len(columns)} cells")
+            data = tuple(zip(*rows)) if rows else ((),) * len(columns)
+        data = tuple(data)
+        if len(data) != len(columns):
+            raise ValueError(f"{len(columns)} column names but {len(data)} columns")
+        if len({len(col) for col in data}) > 1:
+            raise ValueError("columns differ in length")
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "preamble", tuple(preamble))
+
+    @property
+    def rows(self) -> _RowView:
+        return _RowView(self.data, len(self.data[0]) if self.data else 0)
+
+
+def _as_column(cells: list):
+    """A float64 array when every cell is a float, else the list itself."""
+    if all(issubclass(kind, float) for kind in set(map(type, cells))):
+        return np.array(cells, dtype=np.float64)
+    return cells
+
+
+def _collect(columns: tuple, records) -> SweepTable:
+    """Append each record's fields to per-column lists, in record order."""
+    cells = [[] for _ in columns]
+    appends = [col.append for col in cells]
+    for rec in records:
+        for append, name in zip(appends, columns):
+            append(rec[name])
+    return SweepTable(columns, data=[_as_column(col) for col in cells])
 
 
 def _merge(fixed: dict, swept_name: str, swept_value: float, series) -> dict:
@@ -151,27 +239,25 @@ def _annotated(swept_name: str, value: float, fn):
         raise type(exc)(f"at {swept_name}={value:g}: {exc}") from exc
 
 
-def _sweep_qubit(spec: SweepSpec, run, parallel: int, paper_literal: bool) -> SweepTable:
-    jobs = []
+def _sweep_qubit(spec: SweepSpec, run, parallel: int) -> SweepTable:
     series_items = spec.series.values if spec.series else (None,)
-    for series_value in series_items:
-        series = None if series_value is None else (spec.series.name, series_value)
-        for value in spec.swept.values():
-            params = _merge(spec.fixed_params, spec.swept.name, float(value), series)
-            jobs.append(params)
+
+    def jobs():
+        for series_value in series_items:
+            series = None if series_value is None else (spec.series.name, series_value)
+            for value in spec.swept.values():
+                yield _merge(spec.fixed_params, spec.swept.name, float(value), series)
 
     def evaluate(params):
         value = params[spec.swept.name]
         cfg = _annotated(spec.swept.name, value, lambda: qubit_config_from_params(params))
         report = _annotated(spec.swept.name, value, lambda: run(cfg))
-        rec = qubit_record(cfg, report)
-        return tuple(rec[name] for name in QUBIT_RECORD_FIELDS)
+        return qubit_record(cfg, report)
 
-    rows = _evaluate_jobs(jobs, evaluate, parallel)
-    return SweepTable(columns=QUBIT_RECORD_FIELDS, rows=tuple(rows))
+    return _collect(QUBIT_RECORD_FIELDS, _evaluate_jobs(jobs(), evaluate, parallel))
 
 
-def _sweep_cyclic_vs_noncyclic(spec: SweepSpec, parallel: int, paper_literal: bool) -> SweepTable:
+def _sweep_cyclic_vs_noncyclic(spec: SweepSpec, parallel: int) -> SweepTable:
     values = spec.swept.values()
 
     def evaluate(mode_value):
@@ -183,12 +269,10 @@ def _sweep_cyclic_vs_noncyclic(spec: SweepSpec, parallel: int, paper_literal: bo
             report = run_cyclic_qubit(cfg) if mode == "cyclic" else run_noncyclic_qubit(cfg)
             return qubit_record(cfg, report)
 
-        rec = _annotated(spec.swept.name, value, run_one)
-        return tuple(rec[name] for name in QUBIT_RECORD_FIELDS)
+        return _annotated(spec.swept.name, value, run_one)
 
     jobs = [("cyclic", v) for v in values] + [("noncyclic", v) for v in values]
-    rows = _evaluate_jobs(jobs, evaluate, parallel)
-    return SweepTable(columns=QUBIT_RECORD_FIELDS, rows=tuple(rows))
+    return _collect(QUBIT_RECORD_FIELDS, _evaluate_jobs(jobs, evaluate, parallel))
 
 
 def _sweep_mixed(spec: SweepSpec, qubit_run, parallel: int, paper_literal: bool) -> SweepTable:
@@ -212,12 +296,10 @@ def _sweep_mixed(spec: SweepSpec, qubit_run, parallel: int, paper_literal: bool)
                 row["q_cold_literal"] = variants.qutrit_cold_heat_literal(cfg)
             return row
 
-        row = _annotated("f", value, run_one)
-        return tuple(row[name] for name in columns)
+        return _annotated("f", value, run_one)
 
     jobs = [("qubit", v) for v in values] + [("qutrit", v) for v in values]
-    rows = _evaluate_jobs(jobs, evaluate, parallel)
-    return SweepTable(columns=columns, rows=tuple(rows))
+    return _collect(columns, _evaluate_jobs(jobs, evaluate, parallel))
 
 
 def _grid_preamble(prefix: str, grid) -> tuple:
@@ -253,44 +335,36 @@ def _qutrit_grid(spec: SweepSpec, t_axis):
 
 def _t_axis(spec: SweepSpec) -> np.ndarray:
     tmax = spec.fixed_params.get("tmax", 1.0)
+    if not math.isfinite(tmax):
+        raise OutOfRangeError(f"tmax must be finite, got {tmax}")
     tpoints = int(spec.fixed_params.get("tpoints", spec.swept.points))
     if tpoints < 2:
         raise OutOfRangeError("tpoints must be at least 2")
     return np.linspace(0.0, tmax, tpoints)
 
 
-def _sweep_ergotropy_map(spec: SweepSpec, parallel: int, paper_literal: bool) -> SweepTable:
+def _long_form(grid) -> tuple:
+    """The f and t columns of a grid in long form, f-major and t-minor."""
+    nf, nt = grid.values.shape
+    return np.repeat(grid.f_axis, nt), np.tile(grid.t_axis, nf)
+
+
+def _sweep_ergotropy_map(spec: SweepSpec) -> SweepTable:
     t_axis = _t_axis(spec)
     dim = int(spec.fixed_params.get("dim", 2))
     grid = _qubit_grid(spec, t_axis) if dim == 2 else _qutrit_grid(spec, t_axis)
-    rows = [
-        (grid.f_axis[i], grid.t_axis[j], grid.values[i, j])
-        for i in range(grid.f_axis.size)
-        for j in range(grid.t_axis.size)
-    ]
     return SweepTable(
         columns=("f", "t", "value"),
-        rows=tuple(rows),
+        data=(*_long_form(grid), grid.values.ravel()),
         preamble=_grid_preamble("", grid),
     )
 
 
-def _sweep_ergotropy_diff(spec: SweepSpec, parallel: int, paper_literal: bool) -> SweepTable:
+def _sweep_ergotropy_diff(spec: SweepSpec) -> SweepTable:
     t_axis = _t_axis(spec)
     qutrit = _qutrit_grid(spec, t_axis)
     qubit = _qubit_grid(spec, t_axis)
     diff = landscape_difference(qutrit, qubit)
-    rows = [
-        (
-            diff.f_axis[i],
-            diff.t_axis[j],
-            qutrit.values[i, j],
-            qubit.values[i, j],
-            diff.values[i, j],
-        )
-        for i in range(diff.f_axis.size)
-        for j in range(diff.t_axis.size)
-    ]
     preamble = (
         _grid_preamble("qutrit_", qutrit)
         + _grid_preamble("qubit_", qubit)
@@ -298,27 +372,31 @@ def _sweep_ergotropy_diff(spec: SweepSpec, parallel: int, paper_literal: bool) -
     )
     return SweepTable(
         columns=("f", "t", "w_qutrit", "w_qubit", "dw"),
-        rows=tuple(rows),
+        data=(*_long_form(diff), qutrit.values.ravel(), qubit.values.ravel(),
+              diff.values.ravel()),
         preamble=preamble,
     )
 
 
 def _evaluate_jobs(jobs, evaluate, parallel: int):
+    """Yield evaluate(job) for every job, in job order."""
     if parallel and parallel > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(evaluate, jobs))
-    return [evaluate(job) for job in jobs]
+            yield from pool.map(evaluate, jobs)
+    else:
+        yield from map(evaluate, jobs)
 
 
+# literal: the target has a paper-literal variant (a q_cold_literal column)
 _TARGETS = {
-    "work_vs_f": dict(keys=_QUBIT_KEYS, sweep="f"),
-    "work_vs_pg": dict(keys=_QUBIT_KEYS, sweep="pg"),
-    "work_vs_f_noncyclic": dict(keys=_QUBIT_KEYS, sweep="f"),
-    "heat_work_cyclic_vs_noncyclic": dict(keys=_QUBIT_KEYS, sweep="f"),
-    "qutrit_vs_qubit_work": dict(keys=_QUBIT_KEYS | _QUTRIT_KEYS, sweep="f"),
-    "efficiency": dict(keys=_QUBIT_KEYS | _QUTRIT_KEYS, sweep="f"),
-    "ergotropy_map": dict(keys=_MAP_KEYS | {"f"}, sweep="f"),
-    "ergotropy_diff": dict(keys=_MAP_KEYS | {"f"}, sweep="f"),
+    "work_vs_f": dict(keys=_QUBIT_KEYS, sweep="f", literal=False),
+    "work_vs_pg": dict(keys=_QUBIT_KEYS, sweep="pg", literal=False),
+    "work_vs_f_noncyclic": dict(keys=_QUBIT_KEYS, sweep="f", literal=False),
+    "heat_work_cyclic_vs_noncyclic": dict(keys=_QUBIT_KEYS, sweep="f", literal=False),
+    "qutrit_vs_qubit_work": dict(keys=_QUBIT_KEYS | _QUTRIT_KEYS, sweep="f", literal=True),
+    "efficiency": dict(keys=_QUBIT_KEYS | _QUTRIT_KEYS, sweep="f", literal=True),
+    "ergotropy_map": dict(keys=_MAP_KEYS | {"f"}, sweep="f", literal=False),
+    "ergotropy_diff": dict(keys=_MAP_KEYS | {"f"}, sweep="f", literal=False),
 }
 
 
@@ -336,23 +414,29 @@ def _validate_spec(spec: SweepSpec) -> None:
 
 
 def run_sweep(spec: SweepSpec, *, parallel: int = 1, paper_literal: bool = False) -> SweepTable:
-    """Evaluate a sweep spec into a flat table; see module docstring."""
+    """Evaluate a sweep spec into a columnar table; see module docstring.
+
+    paper_literal adds the literal qutrit cold heat to the mixed targets and
+    is rejected on every other target, which has no literal variant.
+    """
     _validate_spec(spec)
     target = spec.target
+    if paper_literal and not _TARGETS[target]["literal"]:
+        raise OutOfRangeError(f"--paper-literal has no variant for target {target!r}")
     if target == "work_vs_f" or target == "work_vs_pg":
-        return _sweep_qubit(spec, run_cyclic_qubit, parallel, paper_literal)
+        return _sweep_qubit(spec, run_cyclic_qubit, parallel)
     if target == "work_vs_f_noncyclic":
-        return _sweep_qubit(spec, run_noncyclic_qubit, parallel, paper_literal)
+        return _sweep_qubit(spec, run_noncyclic_qubit, parallel)
     if target == "heat_work_cyclic_vs_noncyclic":
-        return _sweep_cyclic_vs_noncyclic(spec, parallel, paper_literal)
+        return _sweep_cyclic_vs_noncyclic(spec, parallel)
     if target == "qutrit_vs_qubit_work":
         return _sweep_mixed(spec, run_cyclic_qubit, parallel, paper_literal)
     if target == "efficiency":
         return _sweep_mixed(spec, run_noncyclic_qubit, parallel, paper_literal)
     if target == "ergotropy_map":
-        return _sweep_ergotropy_map(spec, parallel, paper_literal)
+        return _sweep_ergotropy_map(spec)
     if target == "ergotropy_diff":
-        return _sweep_ergotropy_diff(spec, parallel, paper_literal)
+        return _sweep_ergotropy_diff(spec)
     raise OutOfRangeError(f"unknown sweep target {target!r}")  # unreachable
 
 
@@ -504,19 +588,62 @@ def _fmt(value) -> str:
     return format(x, ".12g")
 
 
-def emit_csv(table: SweepTable, destination=None) -> None:
-    """Write header plus rows, '\\n'-terminated, 12 significant digits.
+# cells formatted per template application; bounds the memory of one chunk
+_CHUNK_CELLS = 1 << 16
 
-    destination: path-like for a file, None or '-' for standard output.
+
+def _text_chunks(table: SweepTable):
+    """Yield the data lines of a table as text, about _CHUNK_CELLS cells at a time.
+
+    Float64 columns take "%.12g", which gives the bytes of _fmt for every
+    float (nan, +-inf and -0 included); cells of any other column are
+    formatted by _fmt first and inserted with "%s".
     """
-    lines = list(table.preamble)
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if destination is None or destination == "-":
-        import sys
-
-        sys.stdout.write(text)
+    data = table.data
+    if not data:
         return
-    Path(destination).write_text(text, encoding="utf-8", newline="")
+    floats = [isinstance(col, np.ndarray) and col.dtype == np.float64 for col in data]
+    line = ",".join("%.12g" if is_float else "%s" for is_float in floats) + "\n"
+    step = max(1, _CHUNK_CELLS // len(data))
+    total = len(data[0])
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        block = np.empty((stop - start, len(data)), dtype=object)
+        for j, (col, is_float) in enumerate(zip(data, floats)):
+            part = col[start:stop]
+            block[:, j] = part if is_float else [_fmt(cell) for cell in part]
+        yield (line * (stop - start)) % tuple(block.ravel().tolist())
+
+
+def _write_table(stream, table: SweepTable) -> None:
+    stream.write("".join(f"{line}\n" for line in (*table.preamble, ",".join(table.columns))))
+    for text in _text_chunks(table):
+        stream.write(text)
+
+
+def emit_csv(table: SweepTable, destination=None) -> None:
+    """Stream preamble, header and rows, '\\n'-terminated, 12 significant digits.
+
+    destination: path-like for a file, None or '-' for standard output. A
+    file is written to a temporary file in its directory and renamed into
+    place only once complete, so a failure leaves no truncated CSV behind.
+    A destination that exists but is no regular file (a device, a pipe) is
+    written directly.
+    """
+    if destination is None or destination == "-":
+        _write_table(sys.stdout, table)
+        return
+    path = Path(os.path.realpath(destination))
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            _write_table(fh, table)
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            _write_table(fh, table)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -102,6 +102,33 @@ class TestErgomapCommand:
                        "--set", "tmax=10") == 2
         assert "lambda" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tmax", ["nan", "inf"])
+    def test_non_finite_tmax_is_bad_input(self, tmp_path, capsys, tmax):
+        out = tmp_path / "map.csv"
+        assert run_cli("ergomap", "--points", "5", "--set", "system=qubit",
+                       "--set", f"tmax={tmax}", "--out", str(out)) == 2
+        assert "tmax" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestPaperLiteralFlag:
+    @pytest.mark.parametrize("command", [
+        ("ergomap",),
+        ("sweep", "fig1"), ("sweep", "fig2"), ("sweep", "fig3"), ("sweep", "fig4"),
+        ("sweep", "fig7"),
+    ])
+    def test_rejected_where_no_literal_variant(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        assert run_cli(*command, "--points", "5", "--paper-literal", "--out", str(out)) == 2
+        assert "--paper-literal" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["fig5", "fig6"])
+    def test_mixed_presets_add_literal_column(self, tmp_path, name):
+        out = tmp_path / "out.csv"
+        assert run_cli("sweep", name, "--points", "5", "--paper-literal", "--out", str(out)) == 0
+        assert out.read_text().splitlines()[0].endswith(",q_cold_literal")
+
 
 class TestReportCommand:
     def test_cyclic_report(self, tmp_path, capsys):

@@ -24,6 +24,7 @@ from gadengine import (
     passive_state,
     populations_at_time,
 )
+from gadengine.errors import OutOfRangeError
 
 
 def brute_force_min_energy(pops, levels):
@@ -238,6 +239,16 @@ class TestLandscape:
             ergotropy_landscape((1, 0), h, [0.5, 0.2], [0.0, 1.0], (1.0,))
         with pytest.raises(Exception):
             ergotropy_landscape((1, 0), h, [], [0.0, 1.0], (1.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("axis", ["f_axis", "t_axis"])
+    def test_non_finite_axis_rejected(self, axis, bad):
+        # NaN slips past an ascending check, since nan <= 0 is false
+        axes = {"f_axis": [0.0, 0.5], "t_axis": [0.0, 1.0]}
+        axes[axis] = [0.0, bad]
+        with pytest.raises(OutOfRangeError, match=f"{axis} must be finite"):
+            ergotropy_landscape((1, 0), Hamiltonian((-0.5, 0.5)),
+                                axes["f_axis"], axes["t_axis"], (1.0,))
 
 
 class TestLandscapeDifference:
