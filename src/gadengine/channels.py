@@ -2,8 +2,13 @@
 
 Each constructor returns an immutable :class:`KrausSet` whose operators sum
 to the identity under sum(A_k^dag A_k), verified at construction unless the
-caller opts out (``check=False``) inside hot sweeps. ``apply`` realizes the
-CPTP map rho -> sum_k A_k rho A_k^dag.
+caller opts out (``check=False``). ``apply`` realizes the CPTP map
+rho -> sum_k A_k rho A_k^dag.
+
+Each channel has one formula, ``*_operators``, which stacks the Kraus
+operators of many parameter rows as an (..., K, d, d) array;
+``apply_operators`` applies such a stack to a matching stack of states.
+The KrausSet constructors and ``apply`` are those at a single row.
 
 Basis convention: index 0 is the ground level. The emission weight f (f' for
 qutrits) multiplies the decay operators; 1 - f multiplies the excitation
@@ -24,14 +29,7 @@ from .errors import (
     NoUniqueFixedPointError,
     OutOfRangeError,
 )
-from .states import ATOL, DensityMatrix, hs_distance
-
-
-def _require_unit(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise OutOfRangeError(f"{name} must lie in [0, 1], got {value}")
-    return value
+from .states import ATOL, DensityMatrix, hs_distance, require_unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,17 +51,10 @@ class KrausSet:
         return max(float(np.linalg.norm(op, 2)) for op in self.operators)
 
 
-def _freeze(ops) -> tuple:
-    frozen = []
-    for op in ops:
-        m = np.asarray(op, dtype=complex)
-        m.setflags(write=False)
-        frozen.append(m)
-    return tuple(frozen)
-
-
 def _build(dim: int, ops, params: dict, check: bool) -> KrausSet:
-    kset = KrausSet(dim=dim, operators=_freeze(ops), params=params)
+    ops = np.array(ops, dtype=complex)
+    ops.setflags(write=False)
+    kset = KrausSet(dim=dim, operators=tuple(ops), params=params)
     if check:
         defect = kset.completeness_defect()
         if defect > ATOL:
@@ -74,8 +65,8 @@ def _build(dim: int, ops, params: dict, check: bool) -> KrausSet:
     return kset
 
 
-def gad_qubit(f: float, gamma: float, *, check: bool = True) -> KrausSet:
-    """Qubit generalized amplitude damping with emission weight f.
+def gad_qubit_operators(f, gamma) -> np.ndarray:
+    """Qubit GAD Kraus operators (..., 4, 2, 2) with emission weight f.
 
     Operators:
         A0 = sqrt(f)   * diag(1, sqrt(1-gamma))
@@ -83,23 +74,68 @@ def gad_qubit(f: float, gamma: float, *, check: bool = True) -> KrausSet:
         A2 = sqrt(1-f) * diag(sqrt(1-gamma), 1)
         A3 = sqrt(1-f) * sqrt(gamma) |1><0|      (excitation)
     """
-    f = _require_unit("f", f)
-    gamma = _require_unit("gamma", gamma)
-    sf = math.sqrt(f)
-    sg = math.sqrt(1.0 - f)
-    c = math.sqrt(1.0 - gamma)
-    s = math.sqrt(gamma)
-    a0 = sf * np.array([[1.0, 0.0], [0.0, c]], dtype=complex)
-    a1 = sf * np.array([[0.0, s], [0.0, 0.0]], dtype=complex)
-    a2 = sg * np.array([[c, 0.0], [0.0, 1.0]], dtype=complex)
-    a3 = sg * np.array([[0.0, 0.0], [s, 0.0]], dtype=complex)
+    f, gamma = np.broadcast_arrays(np.asarray(f, dtype=float), np.asarray(gamma, dtype=float))
+    sf = np.sqrt(f)
+    sg = np.sqrt(1.0 - f)
+    c = np.sqrt(1.0 - gamma)
+    ops = np.zeros(f.shape + (4, 2, 2), dtype=complex)
+    ops[..., 0, 0, 0] = sf
+    ops[..., 0, 1, 1] = sf * c
+    ops[..., 1, 0, 1] = sf * np.sqrt(gamma)
+    ops[..., 2, 0, 0] = sg * c
+    ops[..., 2, 1, 1] = sg
+    ops[..., 3, 1, 0] = sg * np.sqrt(gamma)
+    return ops
+
+
+def gad_qutrit_operators(f_prime, lambda1, lambda2) -> np.ndarray:
+    """Three-level GAD Kraus operators (..., 6, 3, 3).
+
+    F3 carries sqrt(1 - lambda1 - lambda2) on the ground level, clamped at 0
+    against rounding; rows whose lambdas sum above 1 are the caller's to
+    reject.
+    """
+    f_prime, lambda1, lambda2 = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (f_prime, lambda1, lambda2))
+    )
+    sf = np.sqrt(f_prime)
+    sg = np.sqrt(1.0 - f_prime)
+    ops = np.zeros(f_prime.shape + (6, 3, 3), dtype=complex)
+    ops[..., 0, 0, 0] = sf
+    ops[..., 0, 1, 1] = sf * np.sqrt(1.0 - lambda1)
+    ops[..., 0, 2, 2] = sf * np.sqrt(1.0 - lambda2)
+    ops[..., 1, 0, 1] = sf * np.sqrt(lambda1)
+    ops[..., 2, 0, 2] = sf * np.sqrt(lambda2)
+    ops[..., 3, 0, 0] = sg * np.sqrt(np.maximum(1.0 - lambda1 - lambda2, 0.0))
+    ops[..., 3, 1, 1] = sg
+    ops[..., 3, 2, 2] = sg
+    ops[..., 4, 1, 0] = sg * np.sqrt(lambda1)
+    ops[..., 5, 2, 0] = sg * np.sqrt(lambda2)
+    return ops
+
+
+def apply_operators(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """sum_k A_k rho A_k^dag for Kraus stacks (..., K, d, d) and states (..., d, d).
+
+    The terms are added to a zero start one operator at a time, in order.
+    """
+    out = 0.0
+    for op in np.moveaxis(ops, -3, 0):
+        out = out + op @ states @ op.conj().swapaxes(-1, -2)
+    return out
+
+
+def gad_qubit(f: float, gamma: float, *, check: bool = True) -> KrausSet:
+    """Qubit generalized amplitude damping with emission weight f; see gad_qubit_operators."""
+    f = require_unit("f", f)
+    gamma = require_unit("gamma", gamma)
     params = {"kind": "gad_qubit", "f": f, "gamma": gamma}
-    return _build(2, (a0, a1, a2, a3), params, check)
+    return _build(2, gad_qubit_operators(f, gamma), params, check)
 
 
 def ad_qubit(k: float, *, check: bool = True) -> KrausSet:
     """Amplitude damping with decay probability k; equals gad_qubit(1, k)."""
-    k = _require_unit("k", k)
+    k = require_unit("k", k)
     kset = gad_qubit(1.0, k, check=check)
     return KrausSet(dim=2, operators=kset.operators, params={"kind": "ad_qubit", "k": k})
 
@@ -113,41 +149,22 @@ def gad_qutrit(f_prime: float, lambda1: float, lambda2: float, *, check: bool = 
     F3..F5 carries the prefactor sqrt(1 - f'), mirroring the qubit pattern,
     which is the unique weighting under which sum(F^dag F) = I.
     """
-    f_prime = _require_unit("f_prime", f_prime)
-    lambda1 = _require_unit("lambda1", lambda1)
-    lambda2 = _require_unit("lambda2", lambda2)
-    residual = 1.0 - lambda1 - lambda2
-    if residual < -ATOL:
+    f_prime = require_unit("f_prime", f_prime)
+    lambda1 = require_unit("lambda1", lambda1)
+    lambda2 = require_unit("lambda2", lambda2)
+    if 1.0 - lambda1 - lambda2 < -ATOL:
         raise InfeasibleDampingError(
             f"lambda1 + lambda2 = {lambda1 + lambda2} exceeds 1; no valid channel"
         )
-    sf = math.sqrt(f_prime)
-    sg = math.sqrt(1.0 - f_prime)
-    s1 = math.sqrt(lambda1)
-    s2 = math.sqrt(lambda2)
-    ground = math.sqrt(max(residual, 0.0))
-    f0 = sf * np.diag([1.0, math.sqrt(1.0 - lambda1), math.sqrt(1.0 - lambda2)]).astype(complex)
-    f1 = np.zeros((3, 3), dtype=complex)
-    f1[0, 1] = sf * s1
-    f2 = np.zeros((3, 3), dtype=complex)
-    f2[0, 2] = sf * s2
-    f3 = sg * np.diag([ground, 1.0, 1.0]).astype(complex)
-    f4 = np.zeros((3, 3), dtype=complex)
-    f4[1, 0] = sg * s1
-    f5 = np.zeros((3, 3), dtype=complex)
-    f5[2, 0] = sg * s2
     params = {"kind": "gad_qutrit", "f_prime": f_prime, "lambda1": lambda1, "lambda2": lambda2}
-    return _build(3, (f0, f1, f2, f3, f4, f5), params, check)
+    return _build(3, gad_qutrit_operators(f_prime, lambda1, lambda2), params, check)
 
 
 def apply(channel: KrausSet, state: DensityMatrix) -> DensityMatrix:
     """CPTP map: returns sum_k A_k rho A_k^dag as a new state."""
     if channel.dim != state.dim:
         raise DimensionMismatchError(f"channel dim {channel.dim} != state dim {state.dim}")
-    out = np.zeros_like(state.matrix)
-    for op in channel.operators:
-        out = out + op @ state.matrix @ op.conj().T
-    return DensityMatrix(out)
+    return DensityMatrix(apply_operators(np.asarray(channel.operators), state.matrix))
 
 
 @dataclass(frozen=True)

@@ -15,27 +15,17 @@ import argparse
 import sys
 from dataclasses import replace
 
-from . import variants
-from .engine import (
-    QUBIT_RECORD_FIELDS,
-    QUTRIT_RECORD_FIELDS,
-    qubit_record,
-    qutrit_record,
-    run_cyclic_qubit,
-    run_noncyclic_qubit,
-    run_qutrit,
-)
 from .errors import GadEngineError
 from .sweeps import (
     PRESET_NAMES,
+    REPORT_ENGINES,
     SeriesAxis,
     SweepSpec,
     SweepTable,
     SweptAxis,
     emit_csv,
     preset,
-    qubit_config_from_params,
-    qutrit_config_from_params,
+    run_report,
     run_sweep,
     with_points,
 )
@@ -113,13 +103,6 @@ def _apply_overrides(spec: SweepSpec, overrides) -> SweepSpec:
     return replace(spec, fixed_params=fixed, swept=swept, series=series)
 
 
-_ENGINES = {
-    "cyclic": (run_cyclic_qubit, QUBIT_RECORD_FIELDS),
-    "noncyclic": (run_noncyclic_qubit, QUBIT_RECORD_FIELDS),
-    "qutrit": (run_qutrit, QUTRIT_RECORD_FIELDS),
-}
-
-
 def _run_report(path: str, overrides, paper_literal: bool) -> SweepTable:
     with open(path, encoding="utf-8") as fh:
         data = _parse_kv_lines(fh, path)
@@ -127,21 +110,10 @@ def _run_report(path: str, overrides, paper_literal: bool) -> SweepTable:
         key, _, value = item.partition("=")
         data[key.strip()] = value.strip()
     engine = data.pop("engine", None)
-    if engine not in _ENGINES:
-        raise ValueError(f"{path}: engine must be one of {sorted(_ENGINES)}, got {engine!r}")
+    if engine not in REPORT_ENGINES:
+        raise ValueError(f"{path}: engine must be one of {list(REPORT_ENGINES)}, got {engine!r}")
     params = {key: float(value) for key, value in data.items()}
-    run, fields = _ENGINES[engine]
-    if engine == "qutrit":
-        cfg = qutrit_config_from_params(params)
-    else:
-        cfg = qubit_config_from_params(params)
-    report = run(cfg)
-    rec = qutrit_record(cfg, report) if engine == "qutrit" else qubit_record(cfg, report)
-    columns = fields
-    if paper_literal and engine == "qutrit":
-        rec["q_cold_literal"] = variants.qutrit_cold_heat_literal(cfg)
-        columns = fields + ("q_cold_literal",)
-    return SweepTable(columns=columns, rows=(tuple(rec[name] for name in columns),))
+    return run_report(engine, params, paper_literal=paper_literal)
 
 
 def _ergomap_spec(args) -> SweepSpec:
@@ -178,8 +150,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="override a parameter (repeatable); also sweep=... / series=...")
     parser.add_argument("--paper-literal", action="store_true",
                         help="use the documented uncorrected formula variants for comparison")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="number of worker threads for sweep evaluation")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -222,13 +192,13 @@ def main(argv=None) -> int:
             spec = _apply_overrides(spec, args.set)
             if args.points:
                 spec = with_points(spec, args.points)
-            table = run_sweep(spec, parallel=args.parallel, paper_literal=args.paper_literal)
+            table = run_sweep(spec, paper_literal=args.paper_literal)
             emit_csv(table, args.out)
             return 0
 
         if args.command == "ergomap":
             spec = _ergomap_spec(args)
-            table = run_sweep(spec, parallel=args.parallel, paper_literal=args.paper_literal)
+            table = run_sweep(spec, paper_literal=args.paper_literal)
             emit_csv(table, args.out)
             return 0
 

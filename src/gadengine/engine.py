@@ -8,7 +8,9 @@ finite-time amplitude-damping stroke instead and generally ends elsewhere.
 
 Every quantity is produced trace-based from the actual stroke states; the
 closed-form expressions below exist alongside so the two routes can be
-cross-checked against each other.
+cross-checked against each other. ``qubit_cycles`` and ``qutrit_cycles``
+run whole columns of parameters at once on stacks of stroke states; the
+``run_*`` functions are the same engine at a single configuration.
 
 Sign conventions: heats are energy changes of the working medium during the
 contact (absorbed > 0), work is delivered work W = q_hot + q_cold, and the
@@ -22,33 +24,36 @@ entry absorbs that cost so that work = q_hot + q_cold holds identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channels import ad_qubit, apply, gad_qubit, gad_qutrit
+from .channels import apply_operators, gad_qubit_operators, gad_qutrit_operators
 from .errors import (
     InfeasibleDampingError,
     NoHeatAbsorbedError,
     NonNormalizedError,
     OutOfRangeError,
 )
-from .states import ATOL, DensityMatrix, Hamiltonian, energy, hs_distance, make_diagonal_state
+from .states import (
+    ATOL,
+    DensityMatrix,
+    Hamiltonian,
+    diagonal_states,
+    energies,
+    hs_distances,
+    is_feasible,
+    is_normalized,
+    require_positive,
+    require_unit,
+)
 
-
-def _require_unit(name, value):
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise OutOfRangeError(f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
-def _require_positive(name, value):
-    value = float(value)
-    if value <= 0.0:
-        raise OutOfRangeError(f"{name} must be > 0, got {value}")
-    return value
+# The per-point helpers stay importable from this module, where
+# e2ebench/tracer.py counts the calls made through them; the engine runs on
+# the stacked forms above and makes none.
+from .channels import ad_qubit, apply, gad_qubit, gad_qutrit  # noqa: E402,F401
+from .states import energy, hs_distance, make_diagonal_state  # noqa: E402,F401
 
 
 @dataclass(frozen=True)
@@ -70,12 +75,10 @@ class QubitEngineConfig:
     u2: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_pg", _require_unit("initial_pg", self.initial_pg))
-        object.__setattr__(self, "f", _require_unit("f", self.f))
-        object.__setattr__(self, "gamma", _require_unit("gamma", self.gamma))
-        object.__setattr__(self, "k", _require_unit("k", self.k))
-        object.__setattr__(self, "hot_gap", _require_positive("hot_gap", self.hot_gap))
-        object.__setattr__(self, "cold_gap", _require_positive("cold_gap", self.cold_gap))
+        for name in ("initial_pg", "f", "gamma", "k"):
+            object.__setattr__(self, name, require_unit(name, getattr(self, name)))
+        for name in ("hot_gap", "cold_gap"):
+            object.__setattr__(self, name, require_positive(name, getattr(self, name)))
 
     @property
     def initial_pe(self) -> float:
@@ -114,17 +117,17 @@ class QutritEngineConfig:
         if len(pops) != 3:
             raise OutOfRangeError(f"initial_p needs 3 entries, got {len(pops)}")
         for p in pops:
-            _require_unit("initial population", p)
-        if abs(sum(pops) - 1.0) > ATOL:
+            require_unit("initial population", p)
+        if not is_normalized(sum(pops)):
             raise NonNormalizedError(f"initial populations sum to {sum(pops)}")
         object.__setattr__(self, "initial_p", pops)
         for name in ("f_prime", "lambda1", "lambda2", "k1", "k2"):
-            object.__setattr__(self, name, _require_unit(name, getattr(self, name)))
-        if self.lambda1 + self.lambda2 > 1.0 + ATOL:
+            object.__setattr__(self, name, require_unit(name, getattr(self, name)))
+        if not is_feasible(self.lambda1, self.lambda2):
             raise InfeasibleDampingError(
                 f"lambda1 + lambda2 = {self.lambda1 + self.lambda2} exceeds 1"
             )
-        if self.k1 + self.k2 > 1.0 + ATOL:
+        if not is_feasible(self.k1, self.k2):
             raise InfeasibleDampingError(f"k1 + k2 = {self.k1 + self.k2} exceeds 1")
         for name in ("hot_levels", "cold_levels"):
             h = getattr(self, name)
@@ -141,6 +144,8 @@ class CycleReport:
 
     efficiency is NaN when no heat was absorbed (q_hot <= 0); the
     :func:`efficiency` helper raises NoHeatAbsorbedError in that case.
+    qubit_cycles and qutrit_cycles return one report for a whole column of
+    runs: its numbers are then arrays and its states (..., d, d) stacks.
     """
 
     states: tuple
@@ -176,8 +181,8 @@ def reservoir_baseline(beta_c: float, beta_h: float, cold_gap: float, hot_gap: f
     W1 = (p_c - p_h)(cold_gap - hot_gap). beta = inf is accepted as the
     zero-temperature limit (occupation -> 1).
     """
-    cold_gap = _require_positive("cold_gap", cold_gap)
-    hot_gap = _require_positive("hot_gap", hot_gap)
+    cold_gap = require_positive("cold_gap", cold_gap)
+    hot_gap = require_positive("hot_gap", hot_gap)
     for name, beta in (("beta_c", beta_c), ("beta_h", beta_h)):
         if beta < 0.0:
             raise OutOfRangeError(f"{name} must be >= 0, got {beta}")
@@ -270,24 +275,86 @@ def redistribution_work(cfg: QubitEngineConfig) -> float:
     ) * cfg.hot_gap
 
 
-def _unitary_stroke(state: DensityMatrix, u) -> DensityMatrix:
+def _unitary_stroke(states: np.ndarray, u) -> np.ndarray:
+    """u rho u^dag with one operator (d, d) or one per state (..., d, d)."""
     if u is None:
-        return state
+        return states
     u = np.asarray(u, dtype=complex)
-    if u.shape != state.matrix.shape:
+    if u.shape not in (states.shape[-2:], states.shape):
         raise OutOfRangeError(f"stroke operator shape {u.shape} does not match the state")
-    if np.max(np.abs(u @ u.conj().T - np.eye(state.dim))) > ATOL:
+    u_dag = u.conj().swapaxes(-1, -2)
+    if np.max(np.abs(u @ u_dag - np.eye(states.shape[-1]))) > ATOL:
         raise OutOfRangeError("stroke operator is not unitary")
-    out = DensityMatrix(u @ state.matrix @ u.conj().T)
-    if np.max(np.abs(out.populations - state.populations)) > ATOL:
+    out = u @ states @ u_dag
+    if np.max(np.abs(np.diagonal(out - states, axis1=-2, axis2=-1).real)) > ATOL:
         raise OutOfRangeError("stroke unitary must preserve populations")
     return out
 
 
-def _efficiency_or_nan(work: float, q_hot: float) -> float:
+def _cycle(states: tuple, q_hot, q_cold, delta_w, cyclic: bool) -> CycleReport:
+    work = q_hot + q_cold
     # q_hot below the algebra tolerance is rounding noise, not absorbed heat;
     # a ratio against it would be meaningless
-    return work / q_hot if q_hot > ATOL else math.nan
+    eff = np.divide(work, q_hot, out=np.full(np.shape(work), math.nan), where=q_hot > ATOL)
+    deviation = hs_distances(states[0], states[4])
+    return CycleReport(states, q_hot, q_cold, work, eff, deviation, delta_w, cyclic)
+
+
+def qubit_cycles(pg, f, gamma, k, hot_gap, cold_gap, *, cyclic: bool,
+                 u1=None, u2=None) -> CycleReport:
+    """Qubit cycles on columns of parameters, broadcast against each other.
+
+    The inputs must pass QubitEngineConfig's checks. cyclic=True closes each
+    cycle with the exact population reset (k unused), cyclic=False with
+    ad_qubit(k); run_cyclic_qubit and run_noncyclic_qubit give the bookkeeping.
+    """
+    pg = np.asarray(pg, dtype=float)
+    h_hot = np.stack(np.broadcast_arrays(0.0, hot_gap), axis=-1)
+    h_cold = np.stack(np.broadcast_arrays(0.0, cold_gap), axis=-1)
+    rho0 = diagonal_states(np.stack([pg, 1.0 - pg], axis=-1))
+    rho1 = _unitary_stroke(rho0, u1)
+    rho2 = apply_operators(gad_qubit_operators(f, gamma), rho1)
+    rho3 = _unitary_stroke(rho2, u2)
+    q_hot = energies(rho2, h_hot) - energies(rho1, h_hot)
+    if cyclic:
+        states = (rho0, rho1, rho2, rho3, rho0)
+        q_cold = energies(rho0, h_cold) - energies(rho3, h_cold)
+        return _cycle(states, q_hot, q_cold, np.zeros_like(q_hot), True)
+    rho4 = apply_operators(gad_qubit_operators(1.0, k), rho3)
+    delta_w = energies(rho0, h_hot) - energies(rho4, h_hot)
+    q_cold = energies(rho0, h_cold) - energies(rho3, h_cold) - delta_w
+    return _cycle((rho0, rho1, rho2, rho3, rho4), q_hot, q_cold, delta_w, False)
+
+
+def qutrit_cycles(initial_p, f_prime, lambda1, lambda2, k1, k2, hot_levels, cold_levels,
+                  *, u1=None, u2=None) -> CycleReport:
+    """Qutrit cycles on columns of parameters; see qubit_cycles and run_qutrit.
+
+    initial_p, hot_levels and cold_levels carry the level axis last (..., 3).
+    """
+    tau0 = diagonal_states(initial_p)
+    tau1 = _unitary_stroke(tau0, u1)
+    tau2 = apply_operators(gad_qutrit_operators(f_prime, lambda1, lambda2), tau1)
+    tau3 = _unitary_stroke(tau2, u2)
+    tau4 = apply_operators(gad_qutrit_operators(1.0, k1, k2), tau3)
+    q_hot = energies(tau2, hot_levels) - energies(tau1, hot_levels)
+    q_cold = energies(tau4, cold_levels) - energies(tau3, cold_levels)
+    delta_w = energies(tau0, hot_levels) - energies(tau4, hot_levels)
+    return _cycle((tau0, tau1, tau2, tau3, tau4), q_hot, q_cold, delta_w, False)
+
+
+_NUMBERS = ("q_hot", "q_cold", "work", "efficiency", "deviation", "redistribution_work")
+
+
+def _single(report: CycleReport) -> CycleReport:
+    """An unbatched engine report with float numbers and DensityMatrix states."""
+    numbers = {name: float(getattr(report, name)) for name in _NUMBERS}
+    return replace(report, states=tuple(map(DensityMatrix, report.states)), **numbers)
+
+
+def _run_qubit(cfg: QubitEngineConfig, cyclic: bool) -> CycleReport:
+    return _single(qubit_cycles(cfg.initial_pg, cfg.f, cfg.gamma, cfg.k, cfg.hot_gap,
+                                cfg.cold_gap, cyclic=cyclic, u1=cfg.u1, u2=cfg.u2))
 
 
 def run_cyclic_qubit(cfg: QubitEngineConfig) -> CycleReport:
@@ -296,26 +363,7 @@ def run_cyclic_qubit(cfg: QubitEngineConfig) -> CycleReport:
     The returned report satisfies work = q_hot + q_cold bitwise, deviation
     = 0, and efficiency = 1 - cold_gap/hot_gap whenever q_hot > 0.
     """
-    h_hot = cfg.hot_hamiltonian
-    h_cold = cfg.cold_hamiltonian
-    rho0 = make_diagonal_state([cfg.initial_pg, cfg.initial_pe])
-    rho1 = _unitary_stroke(rho0, cfg.u1)
-    rho2 = apply(gad_qubit(cfg.f, cfg.gamma, check=False), rho1)
-    rho3 = _unitary_stroke(rho2, cfg.u2)
-    rho4 = make_diagonal_state([cfg.initial_pg, cfg.initial_pe])
-    q_hot = energy(rho2, h_hot) - energy(rho1, h_hot)
-    q_cold = energy(rho4, h_cold) - energy(rho3, h_cold)
-    work = q_hot + q_cold
-    return CycleReport(
-        states=(rho0, rho1, rho2, rho3, rho4),
-        q_hot=q_hot,
-        q_cold=q_cold,
-        work=work,
-        efficiency=_efficiency_or_nan(work, q_hot),
-        deviation=hs_distance(rho0, rho4),
-        redistribution_work=0.0,
-        cyclic=True,
-    )
+    return _run_qubit(cfg, cyclic=True)
 
 
 def run_noncyclic_qubit(cfg: QubitEngineConfig) -> CycleReport:
@@ -326,28 +374,7 @@ def run_noncyclic_qubit(cfg: QubitEngineConfig) -> CycleReport:
     of closing it. Delivered work is the cyclic work minus that cost (see
     module docstring), so cyclic_work - work = redistribution_work exactly.
     """
-    h_hot = cfg.hot_hamiltonian
-    h_cold = cfg.cold_hamiltonian
-    rho0 = make_diagonal_state([cfg.initial_pg, cfg.initial_pe])
-    rho1 = _unitary_stroke(rho0, cfg.u1)
-    rho2 = apply(gad_qubit(cfg.f, cfg.gamma, check=False), rho1)
-    rho3 = _unitary_stroke(rho2, cfg.u2)
-    rho4 = apply(ad_qubit(cfg.k, check=False), rho3)
-    q_hot = energy(rho2, h_hot) - energy(rho1, h_hot)
-    reset_cold = energy(rho0, h_cold) - energy(rho3, h_cold)
-    delta_w = energy(rho0, h_hot) - energy(rho4, h_hot)
-    q_cold = reset_cold - delta_w
-    work = q_hot + q_cold
-    return CycleReport(
-        states=(rho0, rho1, rho2, rho3, rho4),
-        q_hot=q_hot,
-        q_cold=q_cold,
-        work=work,
-        efficiency=_efficiency_or_nan(work, q_hot),
-        deviation=hs_distance(rho0, rho4),
-        redistribution_work=delta_w,
-        cyclic=False,
-    )
+    return _run_qubit(cfg, cyclic=False)
 
 
 def qutrit_hot_heat(cfg: QutritEngineConfig) -> float:
@@ -375,26 +402,10 @@ def run_qutrit(cfg: QutritEngineConfig) -> CycleReport:
     The final state generally differs from the initial state, so the run is
     reported as non-cyclic with the corresponding deviation.
     """
-    h_hot = cfg.hot_levels
-    h_cold = cfg.cold_levels
-    tau0 = make_diagonal_state(cfg.initial_p)
-    tau1 = _unitary_stroke(tau0, cfg.u1)
-    tau2 = apply(gad_qutrit(cfg.f_prime, cfg.lambda1, cfg.lambda2, check=False), tau1)
-    tau3 = _unitary_stroke(tau2, cfg.u2)
-    tau4 = apply(gad_qutrit(1.0, cfg.k1, cfg.k2, check=False), tau3)
-    q_hot = energy(tau2, h_hot) - energy(tau1, h_hot)
-    q_cold = energy(tau4, h_cold) - energy(tau3, h_cold)
-    work = q_hot + q_cold
-    return CycleReport(
-        states=(tau0, tau1, tau2, tau3, tau4),
-        q_hot=q_hot,
-        q_cold=q_cold,
-        work=work,
-        efficiency=_efficiency_or_nan(work, q_hot),
-        deviation=hs_distance(tau0, tau4),
-        redistribution_work=energy(tau0, h_hot) - energy(tau4, h_hot),
-        cyclic=False,
-    )
+    return _single(qutrit_cycles(
+        cfg.initial_p, cfg.f_prime, cfg.lambda1, cfg.lambda2, cfg.k1, cfg.k2,
+        cfg.hot_levels.as_array(), cfg.cold_levels.as_array(), u1=cfg.u1, u2=cfg.u2,
+    ))
 
 
 def efficiency(report: CycleReport) -> float:
@@ -421,44 +432,20 @@ QUTRIT_RECORD_FIELDS = (
 )
 
 
+def _outcome(report: CycleReport) -> tuple:
+    return (*(getattr(report, name) for name in _NUMBERS), report.cyclic)
+
+
 def qubit_record(cfg: QubitEngineConfig, report: CycleReport) -> dict:
-    return {
-        "pg": cfg.initial_pg,
-        "pe": cfg.initial_pe,
-        "f": cfg.f,
-        "gamma": cfg.gamma,
-        "k": cfg.k,
-        "dh": cfg.hot_gap,
-        "dc": cfg.cold_gap,
-        "q_hot": report.q_hot,
-        "q_cold": report.q_cold,
-        "work": report.work,
-        "efficiency": report.efficiency,
-        "deviation": report.deviation,
-        "delta_w": report.redistribution_work,
-        "cyclic": report.cyclic,
-    }
+    return dict(zip(QUBIT_RECORD_FIELDS, (
+        cfg.initial_pg, cfg.initial_pe, cfg.f, cfg.gamma, cfg.k, cfg.hot_gap, cfg.cold_gap,
+        *_outcome(report),
+    )))
 
 
 def qutrit_record(cfg: QutritEngineConfig, report: CycleReport) -> dict:
-    return {
-        "p0": cfg.initial_p[0],
-        "p1": cfg.initial_p[1],
-        "p2": cfg.initial_p[2],
-        "fprime": cfg.f_prime,
-        "lam1": cfg.lambda1,
-        "lam2": cfg.lambda2,
-        "k1": cfg.k1,
-        "k2": cfg.k2,
-        "dh10": cfg.hot_levels.gap(0, 1),
-        "dh20": cfg.hot_levels.gap(0, 2),
-        "dc10": cfg.cold_levels.gap(0, 1),
-        "dc20": cfg.cold_levels.gap(0, 2),
-        "q_hot": report.q_hot,
-        "q_cold": report.q_cold,
-        "work": report.work,
-        "efficiency": report.efficiency,
-        "deviation": report.deviation,
-        "delta_w": report.redistribution_work,
-        "cyclic": report.cyclic,
-    }
+    hot, cold = cfg.hot_levels, cfg.cold_levels
+    return dict(zip(QUTRIT_RECORD_FIELDS, (
+        *cfg.initial_p, cfg.f_prime, cfg.lambda1, cfg.lambda2, cfg.k1, cfg.k2,
+        hot.gap(0, 1), hot.gap(0, 2), cold.gap(0, 1), cold.gap(0, 2), *_outcome(report),
+    )))

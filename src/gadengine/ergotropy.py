@@ -23,7 +23,7 @@ from .errors import (
     InfeasibleDampingError,
     OutOfRangeError,
 )
-from .states import ATOL, DensityMatrix, Hamiltonian, energy
+from .states import ATOL, DensityMatrix, Hamiltonian, energy, is_nonnegative
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +162,8 @@ def ergotropy_landscape(initial, h: Hamiltonian, f_axis, t_axis, rates) -> Ergot
         raise DimensionMismatchError(f"initial has {dim} entries, spectrum has {h.dim}")
     rates = tuple(float(r) for r in rates)
     for r in rates:
-        if r < 0.0:
-            raise OutOfRangeError(f"rates must be >= 0, got {r}")
+        if not is_nonnegative(r):
+            raise OutOfRangeError(f"rates must be finite and >= 0, got {r}")
     f_arr = _checked_axis("f_axis", f_axis, lower=0.0, upper=1.0)
     t_arr = _checked_axis("t_axis", t_axis, lower=0.0)
     levels = h.as_array()

@@ -2,7 +2,8 @@
 
 Everything works in units with hbar = k_B = 1: Hamiltonians carry raw real
 energies and only energy gaps ever enter physical results. All values are
-immutable after construction and every function is pure.
+immutable after construction and every function is pure. The plural state
+functions take stacks of states, with any leading axes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,50 @@ from .errors import (
 ATOL = 1e-12
 
 _SUPPORTED_DIMS = (2, 3)
+
+
+# Parameter predicates, the package's one set of input checks. Each takes a
+# scalar or an array, so a config check and a whole-column check agree by
+# construction; NaN and infinities fail every one of them.
+def is_unit(x):
+    return (x >= 0.0) & (x <= 1.0)
+
+
+def is_positive(x):
+    return (x > 0.0) & (x < np.inf)
+
+
+def is_nonnegative(x):
+    return (x >= 0.0) & (x < np.inf)
+
+
+def is_feasible(a, b):
+    """Two transition probabilities whose sum does not exceed 1."""
+    return a + b <= 1.0 + ATOL
+
+
+def is_normalized(total):
+    return abs(total - 1.0) <= ATOL
+
+
+def is_spectrum(levels):
+    """Finite, strictly increasing energies along the last axis."""
+    levels = np.asarray(levels, dtype=float)
+    return np.isfinite(levels).all(axis=-1) & (np.diff(levels, axis=-1) > 0.0).all(axis=-1)
+
+
+def require_unit(name: str, value) -> float:
+    value = float(value)
+    if not is_unit(value):
+        raise OutOfRangeError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
+def require_positive(name: str, value) -> float:
+    value = float(value)
+    if not is_positive(value):
+        raise OutOfRangeError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +114,8 @@ class Hamiltonian:
         levels = tuple(float(e) for e in self.levels)
         if len(levels) not in _SUPPORTED_DIMS:
             raise BadDimensionError(f"need 2 or 3 levels, got {len(levels)}")
-        if any(a >= b for a, b in zip(levels, levels[1:])):
-            raise OutOfRangeError(f"levels must be strictly increasing, got {levels}")
+        if not is_spectrum(levels):
+            raise OutOfRangeError(f"levels must be finite and strictly increasing, got {levels}")
         object.__setattr__(self, "levels", levels)
 
     @property
@@ -103,23 +148,46 @@ def make_diagonal_state(populations) -> DensityMatrix:
         if p < -ATOL or p > 1.0 + ATOL:
             raise OutOfRangeError(f"population {p} outside [0, 1]")
     total = sum(pops)
-    if abs(total - 1.0) > ATOL:
+    if not is_normalized(total):
         raise NonNormalizedError(f"populations sum to {total}, expected 1")
-    return DensityMatrix(np.diag(np.asarray(pops, dtype=complex)))
+    return DensityMatrix(diagonal_states(pops))
+
+
+def diagonal_states(populations) -> np.ndarray:
+    """Complex diagonal matrices (..., d, d) from populations (..., d)."""
+    pops = np.asarray(populations, dtype=float)
+    return pops[..., None, :] * np.eye(pops.shape[-1], dtype=complex)
+
+
+def energies(states: np.ndarray, levels) -> np.ndarray:
+    """Tr[rho H] of each state (..., d, d) for diagonal levels broadcast as (..., d)."""
+    return np.sum(np.real(np.diagonal(states, axis1=-2, axis2=-1)) * levels, axis=-1)
+
+
+def hs_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt distance of each pair of states, summed as np.linalg.norm does.
+
+    That is two dot products over the flattened entries, real then imaginary parts.
+    """
+    diff = a - b
+    flat = diff.reshape(diff.shape[:-2] + (1, -1))
+    re, im = flat.real, flat.imag
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
 def energy(state: DensityMatrix, h: Hamiltonian) -> float:
     """Energy expectation Tr[rho H] for a diagonal Hamiltonian."""
     if state.dim != h.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != spectrum dim {h.dim}")
-    return float(np.sum(state.populations * h.as_array()))
+    return float(energies(state.matrix, h.as_array()))
 
 
 def hs_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Hilbert-Schmidt (Frobenius) distance sqrt(sum |a_ij - b_ij|^2)."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims {a.dim} and {b.dim} differ")
-    return float(np.linalg.norm(a.matrix - b.matrix))
+    return float(hs_distances(a.matrix, b.matrix))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ A :class:`SweepSpec` names a target quantity, a swept axis, an optional
 series axis, and fixed parameters. ``run_sweep`` evaluates it into a
 columnar table (series-major, sweep-minor row order); ``emit_csv`` streams
 the table with 12 significant digits so repeated runs are byte-identical.
+Engine targets build one column per parameter, check the columns with the
+config predicates, and run the batched engine over blocks of rows.
 
 Presets fig1..fig7 bundle the stock sweeps. Constants that the preset family
 does not pin down elsewhere default to: pg = 0.9, hot gap 1, cold gap 0.5,
@@ -18,7 +20,6 @@ import math
 import os
 import sys
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,9 +28,12 @@ import numpy as np
 from . import variants
 from .engine import (
     QUBIT_RECORD_FIELDS,
+    QUTRIT_RECORD_FIELDS,
     QubitEngineConfig,
     QutritEngineConfig,
+    qubit_cycles,
     qubit_record,
+    qutrit_cycles,
     qutrit_record,
     run_cyclic_qubit,
     run_noncyclic_qubit,
@@ -37,7 +41,14 @@ from .engine import (
 )
 from .ergotropy import ergotropy_landscape, landscape_difference
 from .errors import GadEngineError, OutOfRangeError, UnknownPresetError
-from .states import Hamiltonian
+from .states import (
+    Hamiltonian,
+    is_feasible,
+    is_normalized,
+    is_positive,
+    is_spectrum,
+    is_unit,
+)
 
 
 @dataclass(frozen=True)
@@ -146,32 +157,6 @@ class SweepTable:
         return _RowView(self.data, len(self.data[0]) if self.data else 0)
 
 
-def _as_column(cells: list):
-    """A float64 array when every cell is a float, else the list itself."""
-    if all(issubclass(kind, float) for kind in set(map(type, cells))):
-        return np.array(cells, dtype=np.float64)
-    return cells
-
-
-def _collect(columns: tuple, records) -> SweepTable:
-    """Append each record's fields to per-column lists, in record order."""
-    cells = [[] for _ in columns]
-    appends = [col.append for col in cells]
-    for rec in records:
-        for append, name in zip(appends, columns):
-            append(rec[name])
-    return SweepTable(columns, data=[_as_column(col) for col in cells])
-
-
-def _merge(fixed: dict, swept_name: str, swept_value: float, series) -> dict:
-    params = dict(fixed)
-    params[swept_name] = swept_value
-    if series is not None:
-        name, value = series
-        params[name] = value
-    return params
-
-
 def qubit_config_from_params(params: dict) -> QubitEngineConfig:
     return QubitEngineConfig(
         initial_pg=params["pg"],
@@ -196,10 +181,35 @@ def qutrit_config_from_params(params: dict) -> QutritEngineConfig:
     )
 
 
-_QUBIT_KEYS = frozenset({"pg", "f", "gamma", "k", "dh", "dc"})
-_QUTRIT_KEYS = frozenset(
-    {"p0", "p1", "p2", "f", "lam1", "lam2", "k1", "k2", "dh10", "dh20", "dc10", "dc20"}
+# CSV column -> engine report field
+_OUTPUTS = dict(q_hot="q_hot", q_cold="q_cold", work="work", efficiency="efficiency",
+                deviation="deviation", delta_w="redistribution_work")
+
+# engine rows per batched call; bounds the memory of the stroke-state stacks
+_BLOCK_ROWS = 4096
+
+
+def _levels(gap10, gap20) -> np.ndarray:
+    return np.stack([np.zeros_like(gap10), gap10, gap20], axis=-1)
+
+
+# (predicate, parameter keys) in the order in which the config built by
+# *_config_from_params checks them, so the first check a row fails is the
+# one its config raises for; together they name every input of a system
+_QUBIT_CHECKS = (
+    (is_unit, "pg"), (is_unit, "f"), (is_unit, "gamma"), (is_unit, "k"),
+    (is_positive, "dh"), (is_positive, "dc"),
 )
+_QUTRIT_CHECKS = (
+    (lambda a, b: is_spectrum(_levels(a, b)), "dh10", "dh20"),
+    (lambda a, b: is_spectrum(_levels(a, b)), "dc10", "dc20"),
+    (is_unit, "p0"), (is_unit, "p1"), (is_unit, "p2"),
+    (lambda p0, p1, p2: is_normalized(p0 + p1 + p2), "p0", "p1", "p2"),
+    (is_unit, "f"), (is_unit, "lam1"), (is_unit, "lam2"), (is_unit, "k1"), (is_unit, "k2"),
+    (is_feasible, "lam1", "lam2"), (is_feasible, "k1", "k2"),
+)
+_QUBIT_KEYS = frozenset(key for _, *keys in _QUBIT_CHECKS for key in keys)
+_QUTRIT_KEYS = frozenset(key for _, *keys in _QUTRIT_CHECKS for key in keys)
 _MAP_KEYS = frozenset(
     {"dim", "pg", "p0", "p1", "p2", "gap", "gap10", "gap20",
      "rate", "rate1", "rate2", "tmax", "tpoints"}
@@ -212,94 +222,136 @@ MIXED_RECORD_FIELDS = (
 )
 
 
-def _mixed_row_from_qubit(cfg, report) -> dict:
-    rec = qubit_record(cfg, report)
-    row = {key: "" for key in MIXED_RECORD_FIELDS}
-    row.update(rec)
-    row["system"] = "qubit"
-    return row
+_SYSTEMS = {
+    "qubit": (_QUBIT_KEYS, _QUBIT_CHECKS, qubit_config_from_params),
+    "qutrit": (_QUTRIT_KEYS, _QUTRIT_CHECKS, qutrit_config_from_params),
+}
 
 
-def _mixed_row_from_qutrit(cfg, report) -> dict:
-    rec = qutrit_record(cfg, report)
-    row = {key: "" for key in MIXED_RECORD_FIELDS}
-    for key, value in rec.items():
-        row[key] = value
-    row["system"] = "qutrit"
-    row["f"] = cfg.f_prime
-    return row
+def _parameter_columns(spec: SweepSpec, keys, swept: str, series) -> tuple:
+    """(columns by key, swept value of each row), series-major and sweep-minor.
+
+    A key takes the series value, else the swept value, else its fixed value.
+    """
+    values = spec.swept.values()
+    points = np.tile(values, len(series.values) if series is not None else 1)
+    fixed = {"k": 1.0, **spec.fixed_params}
+    columns = {}
+    for key in sorted(keys):
+        if series is not None and key == series.name:
+            columns[key] = np.repeat(np.asarray(series.values, dtype=float), values.size)
+        elif key == swept:
+            columns[key] = points
+        elif key in fixed:
+            columns[key] = np.full(points.size, float(fixed[key]))
+        else:
+            raise OutOfRangeError(f"parameter {key!r} is not set")
+    return columns, points
 
 
-def _annotated(swept_name: str, value: float, fn):
-    # sweeps must not fail silently or anonymously: tag any engine error
-    # with the grid point that produced it
+def _check_rows(columns: dict, checks, build, swept: str, points) -> None:
+    """Raise the config error of the first row that fails a check, if any.
+
+    The error is annotated with the row's swept value and the parameters
+    of the failing check.
+    """
+    passed = [check(*(columns[key] for key in keys)) for check, *keys in checks]
+    failed = ~np.logical_and.reduce(passed)
+    if not failed.any():
+        return
+    row = int(np.argmax(failed))
+    failing = next(keys for (_, *keys), ok in zip(checks, passed) if not ok[row])
+    named = ", ".join(f"{key}={columns[key][row]:g}" for key in failing if key != swept)
+    where = f"at {swept}={points[row]:g}" + (f" ({named})" if named else "")
     try:
-        return fn()
+        build({key: float(col[row]) for key, col in columns.items()})
     except GadEngineError as exc:
-        raise type(exc)(f"at {swept_name}={value:g}: {exc}") from exc
+        raise type(exc)(f"{where}: {exc}") from exc
+    raise OutOfRangeError(f"{where}: {', '.join(failing)} out of range")
 
 
-def _sweep_qubit(spec: SweepSpec, run, parallel: int) -> SweepTable:
-    series_items = spec.series.values if spec.series else (None,)
-
-    def jobs():
-        for series_value in series_items:
-            series = None if series_value is None else (spec.series.name, series_value)
-            for value in spec.swept.values():
-                yield _merge(spec.fixed_params, spec.swept.name, float(value), series)
-
-    def evaluate(params):
-        value = params[spec.swept.name]
-        cfg = _annotated(spec.swept.name, value, lambda: qubit_config_from_params(params))
-        report = _annotated(spec.swept.name, value, lambda: run(cfg))
-        return qubit_record(cfg, report)
-
-    return _collect(QUBIT_RECORD_FIELDS, _evaluate_jobs(jobs(), evaluate, parallel))
-
-
-def _sweep_cyclic_vs_noncyclic(spec: SweepSpec, parallel: int) -> SweepTable:
-    values = spec.swept.values()
-
-    def evaluate(mode_value):
-        mode, value = mode_value
-        params = _merge(spec.fixed_params, spec.swept.name, float(value), None)
-
-        def run_one():
-            cfg = qubit_config_from_params(params)
-            report = run_cyclic_qubit(cfg) if mode == "cyclic" else run_noncyclic_qubit(cfg)
-            return qubit_record(cfg, report)
-
-        return _annotated(spec.swept.name, value, run_one)
-
-    jobs = [("cyclic", v) for v in values] + [("noncyclic", v) for v in values]
-    return _collect(QUBIT_RECORD_FIELDS, _evaluate_jobs(jobs, evaluate, parallel))
+def _run_rows(system: str, cyclic: bool, columns: dict) -> dict:
+    """Engine outputs of every row, evaluated _BLOCK_ROWS rows at a time."""
+    n = len(columns["f"])
+    out = {name: np.empty(n) for name in _OUTPUTS}
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        c = {key: col[rows] for key, col in columns.items()}
+        if system == "qubit":
+            report = qubit_cycles(c["pg"], c["f"], c["gamma"], c["k"], c["dh"], c["dc"],
+                                  cyclic=cyclic)
+        else:
+            report = qutrit_cycles(
+                np.stack([c["p0"], c["p1"], c["p2"]], axis=-1), c["f"], c["lam1"],
+                c["lam2"], c["k1"], c["k2"], _levels(c["dh10"], c["dh20"]),
+                _levels(c["dc10"], c["dc20"]),
+            )
+        for name, field in _OUTPUTS.items():
+            out[name][rows] = getattr(report, field)
+    return out
 
 
-def _sweep_mixed(spec: SweepSpec, qubit_run, parallel: int, paper_literal: bool) -> SweepTable:
-    values = spec.swept.values()
-    columns = MIXED_RECORD_FIELDS + (("q_cold_literal",) if paper_literal else ())
+def _join(name: str, parts) -> Sequence:
+    """One table column over the parts in order; '' in the rows of a part without it."""
+    pieces = [part.get(name, [""] * n) for part, n in parts]
+    if all(isinstance(piece, np.ndarray) for piece in pieces):
+        return np.concatenate(pieces)
+    return [cell for piece in pieces
+            for cell in (piece.tolist() if isinstance(piece, np.ndarray) else piece)]
 
-    def evaluate(system_value):
-        system, value = system_value
-        params = _merge(spec.fixed_params, "f", float(value), None)
 
-        def run_one():
-            if system == "qubit":
-                cfg = qubit_config_from_params(params)
-                row = _mixed_row_from_qubit(cfg, qubit_run(cfg))
-                if paper_literal:
-                    row["q_cold_literal"] = ""
-                return row
-            cfg = qutrit_config_from_params(params)
-            row = _mixed_row_from_qutrit(cfg, run_qutrit(cfg))
-            if paper_literal:
-                row["q_cold_literal"] = variants.qutrit_cold_heat_literal(cfg)
-            return row
+def _sweep_engine(spec: SweepSpec, parts, paper_literal: bool) -> SweepTable:
+    """Engine rows of every part, one part after the other.
 
-        return _annotated("f", value, run_one)
+    parts are (system, cyclic) pairs. A lone qubit part takes the series
+    axis and the swept parameter's name; a qubit-and-qutrit table ignores
+    the series and feeds the swept values to f.
+    """
+    mixed = any(system == "qutrit" for system, _ in parts)
+    swept = "f" if mixed else spec.swept.name
+    series = spec.series if len(parts) == 1 else None
+    built = []
+    for system, cyclic in parts:
+        keys, checks, build = _SYSTEMS[system]
+        cols, points = _parameter_columns(spec, keys, swept, series)
+        _check_rows(cols, checks, build, swept, points)
+        cols.update(_run_rows(system, cyclic, cols))
+        cols["system"], cols["cyclic"] = [system] * points.size, [cyclic] * points.size
+        if system == "qubit":
+            cols["pe"] = 1.0 - cols["pg"]
+        elif paper_literal:
+            cols["q_cold_literal"] = variants.cold_heat_literal(
+                (cols["p0"], cols["p1"], cols["p2"]), cols["f"], cols["lam1"], cols["lam2"],
+                cols["k1"], cols["k2"], (0.0, cols["dc10"], cols["dc20"]),
+            )
+        built.append((cols, points.size))
+    columns = MIXED_RECORD_FIELDS if mixed else QUBIT_RECORD_FIELDS
+    if paper_literal:
+        columns += ("q_cold_literal",)
+    return SweepTable(columns, data=[_join(name, built) for name in columns])
 
-    jobs = [("qubit", v) for v in values] + [("qutrit", v) for v in values]
-    return _collect(columns, _evaluate_jobs(jobs, evaluate, parallel))
+
+_REPORT_ENGINES = {
+    "cyclic": (qubit_config_from_params, run_cyclic_qubit, qubit_record, QUBIT_RECORD_FIELDS),
+    "noncyclic": (qubit_config_from_params, run_noncyclic_qubit, qubit_record,
+                  QUBIT_RECORD_FIELDS),
+    "qutrit": (qutrit_config_from_params, run_qutrit, qutrit_record, QUTRIT_RECORD_FIELDS),
+}
+REPORT_ENGINES = tuple(sorted(_REPORT_ENGINES))
+
+
+def run_report(engine: str, params: dict, *, paper_literal: bool = False) -> SweepTable:
+    """One engine configuration as a one-row table in its sweep schema.
+
+    paper_literal adds the literal cold heat column to qutrit reports.
+    """
+    config, run, record, columns = _REPORT_ENGINES[engine]
+    cfg = config(params)
+    rec = record(cfg, run(cfg))
+    if paper_literal and engine == "qutrit":
+        rec["q_cold_literal"] = variants.qutrit_cold_heat_literal(cfg)
+        columns += ("q_cold_literal",)
+    return SweepTable(columns, rows=(tuple(rec[name] for name in columns),))
 
 
 def _grid_preamble(prefix: str, grid) -> tuple:
@@ -378,25 +430,20 @@ def _sweep_ergotropy_diff(spec: SweepSpec) -> SweepTable:
     )
 
 
-def _evaluate_jobs(jobs, evaluate, parallel: int):
-    """Yield evaluate(job) for every job, in job order."""
-    if parallel and parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            yield from pool.map(evaluate, jobs)
-    else:
-        yield from map(evaluate, jobs)
-
-
-# literal: the target has a paper-literal variant (a q_cold_literal column)
+# literal: the target has a paper-literal variant (a q_cold_literal column);
+# parts: the (system, cyclic) row blocks of an engine target, in row order
 _TARGETS = {
-    "work_vs_f": dict(keys=_QUBIT_KEYS, sweep="f", literal=False),
-    "work_vs_pg": dict(keys=_QUBIT_KEYS, sweep="pg", literal=False),
-    "work_vs_f_noncyclic": dict(keys=_QUBIT_KEYS, sweep="f", literal=False),
-    "heat_work_cyclic_vs_noncyclic": dict(keys=_QUBIT_KEYS, sweep="f", literal=False),
-    "qutrit_vs_qubit_work": dict(keys=_QUBIT_KEYS | _QUTRIT_KEYS, sweep="f", literal=True),
-    "efficiency": dict(keys=_QUBIT_KEYS | _QUTRIT_KEYS, sweep="f", literal=True),
-    "ergotropy_map": dict(keys=_MAP_KEYS | {"f"}, sweep="f", literal=False),
-    "ergotropy_diff": dict(keys=_MAP_KEYS | {"f"}, sweep="f", literal=False),
+    "work_vs_f": dict(keys=_QUBIT_KEYS, literal=False, parts=(("qubit", True),)),
+    "work_vs_pg": dict(keys=_QUBIT_KEYS, literal=False, parts=(("qubit", True),)),
+    "work_vs_f_noncyclic": dict(keys=_QUBIT_KEYS, literal=False, parts=(("qubit", False),)),
+    "heat_work_cyclic_vs_noncyclic": dict(
+        keys=_QUBIT_KEYS, literal=False, parts=(("qubit", True), ("qubit", False))),
+    "qutrit_vs_qubit_work": dict(
+        keys=_QUBIT_KEYS | _QUTRIT_KEYS, literal=True, parts=(("qubit", True), ("qutrit", False))),
+    "efficiency": dict(
+        keys=_QUBIT_KEYS | _QUTRIT_KEYS, literal=True, parts=(("qubit", False), ("qutrit", False))),
+    "ergotropy_map": dict(keys=_MAP_KEYS | {"f"}, literal=False),
+    "ergotropy_diff": dict(keys=_MAP_KEYS | {"f"}, literal=False),
 }
 
 
@@ -413,31 +460,21 @@ def _validate_spec(spec: SweepSpec) -> None:
         raise OutOfRangeError(f"series parameter {spec.series.name!r} does not apply")
 
 
-def run_sweep(spec: SweepSpec, *, parallel: int = 1, paper_literal: bool = False) -> SweepTable:
+def run_sweep(spec: SweepSpec, *, paper_literal: bool = False) -> SweepTable:
     """Evaluate a sweep spec into a columnar table; see module docstring.
 
     paper_literal adds the literal qutrit cold heat to the mixed targets and
     is rejected on every other target, which has no literal variant.
     """
     _validate_spec(spec)
-    target = spec.target
-    if paper_literal and not _TARGETS[target]["literal"]:
-        raise OutOfRangeError(f"--paper-literal has no variant for target {target!r}")
-    if target == "work_vs_f" or target == "work_vs_pg":
-        return _sweep_qubit(spec, run_cyclic_qubit, parallel)
-    if target == "work_vs_f_noncyclic":
-        return _sweep_qubit(spec, run_noncyclic_qubit, parallel)
-    if target == "heat_work_cyclic_vs_noncyclic":
-        return _sweep_cyclic_vs_noncyclic(spec, parallel)
-    if target == "qutrit_vs_qubit_work":
-        return _sweep_mixed(spec, run_cyclic_qubit, parallel, paper_literal)
-    if target == "efficiency":
-        return _sweep_mixed(spec, run_noncyclic_qubit, parallel, paper_literal)
-    if target == "ergotropy_map":
+    target = _TARGETS[spec.target]
+    if paper_literal and not target["literal"]:
+        raise OutOfRangeError(f"--paper-literal has no variant for target {spec.target!r}")
+    if "parts" in target:
+        return _sweep_engine(spec, target["parts"], paper_literal)
+    if spec.target == "ergotropy_map":
         return _sweep_ergotropy_map(spec)
-    if target == "ergotropy_diff":
-        return _sweep_ergotropy_diff(spec)
-    raise OutOfRangeError(f"unknown sweep target {target!r}")  # unreachable
+    return _sweep_ergotropy_diff(spec)
 
 
 _PRESET_BUILDERS = {}
@@ -576,7 +613,7 @@ def with_points(spec: SweepSpec, points: int) -> SweepSpec:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, str):
         return value

@@ -19,8 +19,10 @@ from . import variants
 from .channels import (
     ad_qubit,
     apply,
+    apply_operators,
     fixed_point,
     gad_qubit,
+    gad_qubit_operators,
     gad_qubit_populations,
     gad_qutrit,
 )
@@ -32,14 +34,21 @@ from .engine import (
     hot_stroke_heat,
     noncyclic_deviation,
     noncyclic_populations,
+    qubit_cycles,
+    qutrit_cycles,
     qutrit_hot_heat,
     redistribution_work,
-    run_cyclic_qubit,
-    run_noncyclic_qubit,
     run_qutrit,
 )
 from .ergotropy import ergotropy
-from .states import DensityMatrix, Hamiltonian, energy, make_diagonal_state, validate
+from .states import (
+    DensityMatrix,
+    Hamiltonian,
+    diagonal_states,
+    energy,
+    make_diagonal_state,
+    validate,
+)
 
 TOL = 1e-12
 _SEED = 971203
@@ -75,6 +84,19 @@ def _random_state(rng, dim) -> DensityMatrix:
 def _random_diagonal(rng, dim) -> DensityMatrix:
     pops = rng.dirichlet(np.ones(dim))
     return make_diagonal_state(pops)
+
+
+def _grid(*axes) -> tuple:
+    """Every combination of the axes' values as flat columns, first axis outermost."""
+    return tuple(a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+
+
+def _qubit_states(pg) -> np.ndarray:
+    return diagonal_states(np.stack([pg, 1.0 - pg], axis=-1))
+
+
+def _populations(states) -> np.ndarray:
+    return np.diagonal(states, axis1=-2, axis2=-1).real
 
 
 def _check_qubit_completeness() -> CheckResult:
@@ -129,14 +151,11 @@ def _check_trace_psd_preservation() -> CheckResult:
 def _check_evolved_populations() -> CheckResult:
     grid = np.linspace(0.0, 1.0, 11)
     worst = 0.0
-    for f in grid:
-        for g in grid:
-            ch = gad_qubit(f, g, check=False)
-            for pg in grid:
-                state = make_diagonal_state([pg, 1.0 - pg])
-                out = apply(ch, state).populations
-                closed = gad_qubit_populations(pg, 1.0 - pg, f, g)
-                worst = max(worst, abs(out[0] - closed[0]), abs(out[1] - closed[1]))
+    for f in grid:  # one f at a time keeps the batches, and validate's peak memory, small
+        g, pg = _grid(grid, grid)
+        out = _populations(apply_operators(gad_qubit_operators(f, g), _qubit_states(pg)))
+        closed = np.stack(gad_qubit_populations(pg, 1.0 - pg, f, g), axis=-1)
+        worst = max(worst, float(np.max(np.abs(out - closed))))
     return CheckResult(
         "evolved_populations_closed_form", worst < TOL, f"max entrywise gap {worst:.3e}"
     )
@@ -149,24 +168,22 @@ def _check_inversion_condition() -> CheckResult:
     boundary_band = 1e-9
     mismatches = 0
     decided = 0
-    for f in axis:
-        for g in axis:
-            denom = 1.0 - 2.0 * g * f
-            if denom <= 0.0:
-                continue
-            ch = gad_qubit(f, g, check=False)
-            for pe in axis:
-                pg = 1.0 - pe
-                out = apply(ch, make_diagonal_state([pg, pe])).populations
-                channel_margin = out[1] - out[0]
-                printed_margin = pe * denom - pg * (1.0 + 2.0 * g * (f - 1.0))
-                if abs(channel_margin) < boundary_band or abs(printed_margin) < boundary_band:
-                    if abs(channel_margin) >= boundary_band or abs(printed_margin) >= boundary_band:
-                        mismatches += 1
-                    continue
-                decided += 1
-                if (channel_margin > 0.0) != (printed_margin > 0.0):
-                    mismatches += 1
+    for f in axis:  # one f at a time keeps the batch, and validate's peak memory, small
+        g, pe = _grid(axis, axis)
+        denom = 1.0 - 2.0 * g * f
+        kept = denom > 0.0
+        g, pe, denom = g[kept], pe[kept], denom[kept]
+        pg = 1.0 - pe
+        states = diagonal_states(np.stack([pg, pe], axis=-1))
+        out = _populations(apply_operators(gad_qubit_operators(f, g), states))
+        channel_margin = out[:, 1] - out[:, 0]
+        printed_margin = pe * denom - pg * (1.0 + 2.0 * g * (f - 1.0))
+        near_channel = np.abs(channel_margin) < boundary_band
+        near_printed = np.abs(printed_margin) < boundary_band
+        sure = ~(near_channel | near_printed)
+        flipped = sure & ((channel_margin > 0.0) != (printed_margin > 0.0))
+        mismatches += int(np.count_nonzero(near_channel != near_printed) + np.count_nonzero(flipped))
+        decided += int(np.count_nonzero(sure))
     return CheckResult(
         "population_inversion_condition",
         mismatches == 0,
@@ -176,72 +193,60 @@ def _check_inversion_condition() -> CheckResult:
 
 def _check_composition_law() -> CheckResult:
     grid = np.linspace(0.0, 1.0, 6)
-    worst = 0.0
-    for f in grid:
-        for g1 in grid:
-            for g2 in grid:
-                g12 = g1 + g2 - g1 * g2
-                for pg in (0.0, 0.3, 0.8, 1.0):
-                    state = make_diagonal_state([pg, 1.0 - pg])
-                    two_step = apply(gad_qubit(f, g2, check=False),
-                                     apply(gad_qubit(f, g1, check=False), state))
-                    one_step = apply(gad_qubit(f, g12, check=False), state)
-                    worst = max(worst, float(np.max(np.abs(two_step.matrix - one_step.matrix))))
+    f, g1, g2, pg = _grid(grid, grid, grid, np.array([0.0, 0.3, 0.8, 1.0]))
+    state = _qubit_states(pg)
+    two_step = apply_operators(gad_qubit_operators(f, g2),
+                               apply_operators(gad_qubit_operators(f, g1), state))
+    one_step = apply_operators(gad_qubit_operators(f, g1 + g2 - g1 * g2), state)
+    worst = float(np.max(np.abs(two_step - one_step)))
     return CheckResult("damping_composition_semigroup", worst < TOL, f"max gap {worst:.3e}")
 
 
 def _check_heat_work_closed_forms() -> CheckResult:
-    grid = np.linspace(0.0, 1.0, 9)
+    # each grid runs through the engine as one batch; every row is then
+    # compared with the closed forms of its own config
+    f, g, pg = _grid(*[np.linspace(0.0, 1.0, 9)] * 3)
+    cyc = qubit_cycles(pg, f, g, 0.35, 1.3, 0.4, cyclic=True)
+    non = qubit_cycles(pg, f, g, 0.35, 1.3, 0.4, cyclic=False)
     worst = 0.0
-    for f in grid:
-        for g in grid:
-            for pg in grid:
-                cfg = QubitEngineConfig(initial_pg=pg, f=f, gamma=g, k=0.35,
-                                        hot_gap=1.3, cold_gap=0.4)
-                rep = run_cyclic_qubit(cfg)
-                worst = max(
-                    worst,
-                    abs(rep.q_hot - hot_stroke_heat(cfg)),
-                    abs(rep.q_cold - cold_stroke_heat(cfg)),
-                    abs(rep.work - cycle_work(cfg)),
-                )
-                nrep = run_noncyclic_qubit(cfg)
-                worst = max(
-                    worst,
-                    abs(nrep.deviation - noncyclic_deviation(cfg)),
-                    abs(nrep.redistribution_work - redistribution_work(cfg)),
-                )
-    qfg = np.linspace(0.0, 1.0, 5)
-    for fp in qfg:
-        for l1 in qfg:
-            for l2 in qfg:
-                if l1 + l2 > 1.0:
-                    continue
-                cfg = QutritEngineConfig(
-                    initial_p=(0.5, 0.3, 0.2), f_prime=fp, lambda1=l1, lambda2=l2,
-                    k1=0.2, k2=0.3,
-                    hot_levels=Hamiltonian((0.0, 1.0, 2.5)),
-                    cold_levels=Hamiltonian((0.0, 0.5, 1.2)),
-                )
-                worst = max(worst, abs(run_qutrit(cfg).q_hot - qutrit_hot_heat(cfg)))
+    for i in range(f.size):
+        cfg = QubitEngineConfig(initial_pg=pg[i], f=f[i], gamma=g[i], k=0.35,
+                                hot_gap=1.3, cold_gap=0.4)
+        worst = max(
+            worst,
+            abs(cyc.q_hot[i] - hot_stroke_heat(cfg)),
+            abs(cyc.q_cold[i] - cold_stroke_heat(cfg)),
+            abs(cyc.work[i] - cycle_work(cfg)),
+            abs(non.deviation[i] - noncyclic_deviation(cfg)),
+            abs(non.redistribution_work[i] - redistribution_work(cfg)),
+        )
+    fp, l1, l2 = _grid(*[np.linspace(0.0, 1.0, 5)] * 3)
+    feasible = l1 + l2 <= 1.0
+    fp, l1, l2 = fp[feasible], l1[feasible], l2[feasible]
+    hot, cold = (0.0, 1.0, 2.5), (0.0, 0.5, 1.2)
+    qut = qutrit_cycles((0.5, 0.3, 0.2), fp, l1, l2, 0.2, 0.3, hot, cold)
+    for i in range(fp.size):
+        cfg = QutritEngineConfig(
+            initial_p=(0.5, 0.3, 0.2), f_prime=fp[i], lambda1=l1[i], lambda2=l2[i],
+            k1=0.2, k2=0.3, hot_levels=Hamiltonian(hot), cold_levels=Hamiltonian(cold),
+        )
+        worst = max(worst, abs(qut.q_hot[i] - qutrit_hot_heat(cfg)))
     return CheckResult("heat_work_closed_forms", worst < TOL, f"max closed-form gap {worst:.3e}")
 
 
 def _check_noncyclic_populations(paper_literal: bool) -> CheckResult:
     grid = np.linspace(0.0, 1.0, 7)
     worst = 0.0
-    for f in grid:
-        for g in grid:
-            for k in grid:
-                for pg in (0.0, 0.25, 0.6, 0.9, 1.0):
-                    cfg = QubitEngineConfig(initial_pg=pg, f=f, gamma=g, k=k)
-                    state = make_diagonal_state([pg, 1.0 - pg])
-                    composed = apply(ad_qubit(k, check=False),
-                                     apply(gad_qubit(f, g, check=False), state)).populations
-                    pg2, pe2 = noncyclic_populations(cfg)
-                    if paper_literal:
-                        pe2 = variants.noncyclic_pe_uncorrected(cfg)
-                    worst = max(worst, abs(composed[0] - pg2), abs(composed[1] - pe2))
+    for f in grid:  # one f at a time keeps the batches, and validate's peak memory, small
+        g, k, pg = _grid(grid, grid, np.array([0.0, 0.25, 0.6, 0.9, 1.0]))
+        hot = apply_operators(gad_qubit_operators(f, g), _qubit_states(pg))
+        composed = _populations(apply_operators(gad_qubit_operators(1.0, k), hot))
+        for i in range(g.size):
+            cfg = QubitEngineConfig(initial_pg=pg[i], f=f, gamma=g[i], k=k[i])
+            pg2, pe2 = noncyclic_populations(cfg)
+            if paper_literal:
+                pe2 = variants.noncyclic_pe_uncorrected(cfg)
+            worst = max(worst, abs(composed[i, 0] - pg2), abs(composed[i, 1] - pe2))
     name = "noncyclic_populations_composition"
     if paper_literal:
         name += "_uncorrected_pe"
@@ -249,13 +254,14 @@ def _check_noncyclic_populations(paper_literal: bool) -> CheckResult:
 
 
 def _check_work_deficit_identity() -> CheckResult:
-    grid = np.linspace(0.0, 1.0, 9)
-    worst = 0.0
-    for f in grid:
-        for k in grid:
-            cfg = QubitEngineConfig(initial_pg=0.9, f=f, gamma=0.5, k=k)
-            deficit = run_cyclic_qubit(cfg).work - run_noncyclic_qubit(cfg).work
-            worst = max(worst, abs(deficit - redistribution_work(cfg)))
+    f, k = _grid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9))
+    deficit = (qubit_cycles(0.9, f, 0.5, k, 1.0, 0.5, cyclic=True).work
+               - qubit_cycles(0.9, f, 0.5, k, 1.0, 0.5, cyclic=False).work)
+    worst = max(
+        abs(deficit[i] - redistribution_work(QubitEngineConfig(initial_pg=0.9, f=f[i],
+                                                               gamma=0.5, k=k[i])))
+        for i in range(f.size)
+    )
     return CheckResult("work_deficit_equals_redistribution", worst < TOL, f"max gap {worst:.3e}")
 
 

@@ -12,10 +12,8 @@ import math
 
 import numpy as np
 
-from .channels import KrausSet, _build, _require_unit
+from .channels import KrausSet, _build, gad_qutrit
 from .engine import QubitEngineConfig, QutritEngineConfig
-from .errors import InfeasibleDampingError
-from .states import ATOL
 
 
 def gad_qutrit_uncorrected(f_prime: float, lambda1: float, lambda2: float) -> KrausSet:
@@ -25,31 +23,12 @@ def gad_qutrit_uncorrected(f_prime: float, lambda1: float, lambda2: float) -> Kr
     set is not trace preserving. Construction skips the completeness check
     on purpose; compare against channels.gad_qutrit.
     """
-    f_prime = _require_unit("f_prime", f_prime)
-    lambda1 = _require_unit("lambda1", lambda1)
-    lambda2 = _require_unit("lambda2", lambda2)
-    residual = 1.0 - lambda1 - lambda2
-    if residual < -ATOL:
-        raise InfeasibleDampingError(f"lambda1 + lambda2 = {lambda1 + lambda2} exceeds 1")
-    sf = math.sqrt(f_prime)
-    sg = math.sqrt(1.0 - f_prime)
-    f0 = sf * np.diag([1.0, math.sqrt(1.0 - lambda1), math.sqrt(1.0 - lambda2)]).astype(complex)
-    f1 = np.zeros((3, 3), dtype=complex)
-    f1[0, 1] = sf * math.sqrt(lambda1)
-    f2 = np.zeros((3, 3), dtype=complex)
-    f2[0, 2] = sf * math.sqrt(lambda2)
-    f3 = sf * np.diag([math.sqrt(max(residual, 0.0)), 1.0, 1.0]).astype(complex)
-    f4 = np.zeros((3, 3), dtype=complex)
-    f4[1, 0] = sg * math.sqrt(lambda1)
-    f5 = np.zeros((3, 3), dtype=complex)
-    f5[2, 0] = sg * math.sqrt(lambda2)
-    params = {
-        "kind": "gad_qutrit_uncorrected",
-        "f_prime": f_prime,
-        "lambda1": lambda1,
-        "lambda2": lambda2,
-    }
-    return _build(3, (f0, f1, f2, f3, f4, f5), params, check=False)
+    kset = gad_qutrit(f_prime, lambda1, lambda2, check=False)
+    p = kset.params
+    ops = np.array(kset.operators)
+    sf = math.sqrt(p["f_prime"])
+    ops[3] = np.diag([sf * math.sqrt(max(1.0 - p["lambda1"] - p["lambda2"], 0.0)), sf, sf])
+    return _build(3, ops, {**p, "kind": "gad_qutrit_uncorrected"}, check=False)
 
 
 def noncyclic_pe_uncorrected(cfg: QubitEngineConfig) -> float:
@@ -72,14 +51,21 @@ def qutrit_cold_heat_literal(cfg: QutritEngineConfig) -> float:
     consistent (dc12 next to dc01, then dc02), so this generally disagrees
     with the trace-based cold heat of engine.run_qutrit.
     """
-    levels = cfg.cold_levels.levels
+    return cold_heat_literal(cfg.initial_p, cfg.f_prime, cfg.lambda1, cfg.lambda2,
+                             cfg.k1, cfg.k2, cfg.cold_levels.levels)
+
+
+def cold_heat_literal(initial_p, fp, lambda1, lambda2, k1, k2, levels):
+    """qutrit_cold_heat_literal on scalars or on columns of parameters.
+
+    initial_p and levels are 3-sequences whose entries may be columns.
+    """
     dc01 = levels[0] - levels[1]
     dc12 = levels[1] - levels[2]
     dc02 = levels[0] - levels[2]
-    p0, p1, p2 = cfg.initial_p
-    fp = cfg.f_prime
+    p0, p1, p2 = initial_p
     return (
-        (1.0 - fp) * p0 * (dc01 * cfg.lambda1 * cfg.k1 + dc12 * cfg.lambda2 * cfg.k2)
-        + cfg.k1 * p1 * (1.0 - fp * cfg.lambda1) * dc01
-        + cfg.k2 * p2 * (1.0 - fp * cfg.lambda2) * dc02
+        (1.0 - fp) * p0 * (dc01 * lambda1 * k1 + dc12 * lambda2 * k2)
+        + k1 * p1 * (1.0 - fp * lambda1) * dc01
+        + k2 * p2 * (1.0 - fp * lambda2) * dc02
     )

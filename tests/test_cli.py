@@ -58,11 +58,14 @@ class TestSweepCommand:
         assert run_cli("sweep", "fig1", "--points", "3",
                        "--out", str(tmp_path / "no" / "dir.csv")) == 2
 
-    def test_parallel_flag(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli("sweep", "fig4", "--points", "9", "--out", str(a)) == 0
-        assert run_cli("sweep", "fig4", "--points", "9", "--parallel", "4", "--out", str(b)) == 0
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("name, key", [("fig1", "dh"), ("fig1", "dc"), ("fig6", "dh10")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_gap_is_bad_input(self, tmp_path, capsys, name, key, value):
+        out = tmp_path / "out.csv"
+        assert run_cli("sweep", name, "--points", "5", "--set", f"{key}={value}",
+                       "--out", str(out)) == 2
+        assert f"{key}={value}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestValidateCommand:
@@ -108,6 +111,14 @@ class TestErgomapCommand:
         assert run_cli("ergomap", "--points", "5", "--set", "system=qubit",
                        "--set", f"tmax={tmax}", "--out", str(out)) == 2
         assert "tmax" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_rate_is_bad_input(self, tmp_path, capsys, rate):
+        out = tmp_path / "map.csv"
+        assert run_cli("ergomap", "--points", "5", "--set", "system=qubit",
+                       "--set", f"rate={rate}", "--out", str(out)) == 2
+        assert "rates" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -173,13 +173,17 @@ other_cells = {
 
 @st.composite
 def tables(draw):
-    kinds = draw(st.lists(st.sampled_from(["float", *other_cells]), min_size=1, max_size=6))
+    kinds = draw(st.lists(st.sampled_from(["float", "bool_array", *other_cells]),
+                          min_size=1, max_size=6))
     n = draw(st.integers(0, 30))
     data = []
     for kind in kinds:
         if kind == "float":
             data.append(np.array(draw(st.lists(float_cells, min_size=n, max_size=n)),
                                  dtype=np.float64))
+        elif kind == "bool_array":
+            data.append(np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                                 dtype=bool))
         else:
             data.append(draw(st.lists(other_cells[kind], min_size=n, max_size=n)))
     return SweepTable(tuple(f"c{j}" for j in range(len(kinds))), data=data,
@@ -196,7 +200,9 @@ def _emitted(table) -> bytes:
 @settings(max_examples=150, deadline=None)
 @given(tables())
 def test_random_tables_match_reference(table):
-    rows = list(zip(*table.data))
+    # a numpy bool column prints like a column of Python bools
+    rows = list(zip(*(col.tolist() if isinstance(col, np.ndarray) and col.dtype == bool else col
+                      for col in table.data)))
     assert _emitted(table) == reference_csv(table.columns, rows, table.preamble)
 
 

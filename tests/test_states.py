@@ -15,6 +15,16 @@ from gadengine import (
     make_diagonal_state,
     validate,
 )
+from gadengine.engine import reservoir_baseline
+from gadengine.states import (
+    energies,
+    hs_distances,
+    is_positive,
+    is_spectrum,
+    is_unit,
+    require_positive,
+    require_unit,
+)
 
 
 def direct_energy(pops, levels):
@@ -174,3 +184,50 @@ class TestHamiltonian:
     def test_bad_dimension(self):
         with pytest.raises(BadDimensionError):
             Hamiltonian((1.0,))
+
+    @pytest.mark.parametrize("levels", [(0.0, float("nan")), (0.0, 1.0, float("inf")),
+                                        (float("-inf"), 0.0)])
+    def test_non_finite_levels_rejected(self, levels):
+        with pytest.raises(OutOfRangeError, match="finite"):
+            Hamiltonian(levels)
+
+
+class TestStacks:
+    def test_stacked_forms_match_single_states(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+        b = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+        levels = np.sort(rng.normal(size=(6, 3)), axis=-1)
+        dist = hs_distances(a, b)
+        en = energies(a, levels)
+        for i in range(6):
+            assert dist[i] == np.linalg.norm(a[i] - b[i])
+            assert en[i] == np.sum(np.real(np.diagonal(a[i])) * levels[i])
+
+
+class TestParameterPredicates:
+    CELLS = [-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, float("nan"), float("inf"), float("-inf")]
+
+    def test_column_predicates_agree_with_scalars(self):
+        col = np.array(self.CELLS)
+        for pred in (is_unit, is_positive):
+            assert list(pred(col)) == [bool(pred(x)) for x in self.CELLS]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_require_positive_rejects(self, value):
+        with pytest.raises(OutOfRangeError, match="gap"):
+            require_positive("gap", value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, 1.5])
+    def test_require_unit_rejects(self, value):
+        with pytest.raises(OutOfRangeError, match="f must lie"):
+            require_unit("f", value)
+
+    def test_spectrum_along_last_axis(self):
+        levels = np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 1.0], [0.0, np.nan, 2.0]])
+        assert list(is_spectrum(levels)) == [True, False, False]
+
+    def test_reservoir_baseline_keeps_zero_temperature(self):
+        assert reservoir_baseline(np.inf, np.inf, 0.5, 1.0).p_cold == 1.0
+        with pytest.raises(OutOfRangeError):
+            reservoir_baseline(1.0, 1.0, 0.5, float("nan"))

@@ -151,10 +151,6 @@ class TestRunSweep:
         with pytest.raises(OutOfRangeError):
             SweptAxis("f", 1.0, 0.0, 10)
 
-    def test_parallel_matches_serial(self):
-        spec = with_points(preset("fig1"), 21)
-        assert run_sweep(spec, parallel=4).rows == run_sweep(spec).rows
-
     def test_every_engine_preset_balances_heat_and_work(self):
         for name in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6"):
             table = run_sweep(with_points(preset(name), 9))
