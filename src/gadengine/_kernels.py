@@ -1,42 +1,18 @@
 """Grid-fill kernels behind the ergotropy landscapes.
 
-Landscape fills are the only hot loops in the package: one extractable-work
-evaluation per (f, t) cell, at grid sizes the CLI lets users push into the
-millions of cells. The loops are JIT-compiled with numba when it is
-importable; setting ``GADENGINE_NO_NUMBA=1`` (or numba being absent) selects
-the pure-numpy path instead. Both paths evaluate the same arithmetic in the
-same order and return bitwise-identical arrays; ``benchmarks/bench_kernels.py``
-compares their throughput.
-
-Inputs are the initial populations, the f axis, precomputed damping arrays
-lambda(t) (shared by both paths so transcendental rounding cannot differ),
-and the energy levels.
+One extractable-work evaluation per (f, t) cell, vectorized with numpy over
+the whole grid. Inputs are the initial populations, the f axis, precomputed
+damping arrays lambda(t) and the energy levels. The CSV digests pin the
+bits these fills produce, so their arithmetic and its order are fixed.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("GADENGINE_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-#: Resolved once at import: which implementation the dispatchers use.
-USE_NUMBA = HAVE_NUMBA and not _numba_disabled()
-
-
-def qubit_fill_numpy(pg0, pe0, f_axis, lam, e0, e1):
-    """Vectorized reference path for the qubit landscape."""
+def qubit_fill(pg0, pe0, f_axis, lam, e0, e1):
+    """Qubit extractable work on the (f_axis, lam) grid."""
     f = f_axis[:, None]
     l = lam[None, :]
     pe = pe0 * (1.0 - f * l) + pg0 * (1.0 - f) * l
@@ -45,8 +21,8 @@ def qubit_fill_numpy(pg0, pe0, f_axis, lam, e0, e1):
     return np.where(d > 0.0, (e1 - e0) * d, 0.0)
 
 
-def qutrit_fill_numpy(p0, p1, p2, f_axis, lam1, lam2, e0, e1, e2):
-    """Vectorized reference path for the qutrit landscape."""
+def qutrit_fill(p0, p1, p2, f_axis, lam1, lam2, e0, e1, e2):
+    """Qutrit extractable work on the (f_axis, lam1/lam2) grid."""
     f = f_axis[:, None]
     l1 = lam1[None, :]
     l2 = lam2[None, :]
@@ -57,67 +33,3 @@ def qutrit_fill_numpy(p0, p1, p2, f_axis, lam1, lam2, e0, e1, e2):
     srt = np.sort(np.stack((q0, q1, q2), axis=-1), axis=-1)
     passive = e0 * srt[..., 2] + e1 * srt[..., 1] + e2 * srt[..., 0]
     return active - passive
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _qubit_fill_jit(pg0, pe0, f_axis, lam, e0, e1):
-        out = np.empty((f_axis.size, lam.size))
-        for i in range(f_axis.size):
-            f = f_axis[i]
-            for j in range(lam.size):
-                l = lam[j]
-                pe = pe0 * (1.0 - f * l) + pg0 * (1.0 - f) * l
-                pg = 1.0 - pe
-                d = pe - pg
-                out[i, j] = (e1 - e0) * d if d > 0.0 else 0.0
-        return out
-
-    @njit(cache=True)
-    def _qutrit_fill_jit(p0, p1, p2, f_axis, lam1, lam2, e0, e1, e2):
-        out = np.empty((f_axis.size, lam1.size))
-        for i in range(f_axis.size):
-            f = f_axis[i]
-            for j in range(lam1.size):
-                l1 = lam1[j]
-                l2 = lam2[j]
-                q1 = (1.0 - f * l1) * p1 + (1.0 - f) * l1 * p0
-                q2 = (1.0 - f * l2) * p2 + (1.0 - f) * l2 * p0
-                q0 = 1.0 - q1 - q2
-                active = e0 * q0 + e1 * q1 + e2 * q2
-                # descending 3-sort
-                a, b, c = q0, q1, q2
-                if a < b:
-                    a, b = b, a
-                if b < c:
-                    b, c = c, b
-                if a < b:
-                    a, b = b, a
-                passive = e0 * a + e1 * b + e2 * c
-                out[i, j] = active - passive
-        return out
-
-
-def qubit_fill_numba(pg0, pe0, f_axis, lam, e0, e1):
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba is not available")
-    return _qubit_fill_jit(pg0, pe0, f_axis, lam, e0, e1)
-
-
-def qutrit_fill_numba(p0, p1, p2, f_axis, lam1, lam2, e0, e1, e2):
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba is not available")
-    return _qutrit_fill_jit(p0, p1, p2, f_axis, lam1, lam2, e0, e1, e2)
-
-
-def qubit_fill(pg0, pe0, f_axis, lam, e0, e1):
-    if USE_NUMBA:
-        return qubit_fill_numba(pg0, pe0, f_axis, lam, e0, e1)
-    return qubit_fill_numpy(pg0, pe0, f_axis, lam, e0, e1)
-
-
-def qutrit_fill(p0, p1, p2, f_axis, lam1, lam2, e0, e1, e2):
-    if USE_NUMBA:
-        return qutrit_fill_numba(p0, p1, p2, f_axis, lam1, lam2, e0, e1, e2)
-    return qutrit_fill_numpy(p0, p1, p2, f_axis, lam1, lam2, e0, e1, e2)

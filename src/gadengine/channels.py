@@ -29,7 +29,7 @@ from .errors import (
     NoUniqueFixedPointError,
     OutOfRangeError,
 )
-from .states import ATOL, DensityMatrix, hs_distance, require_unit
+from .states import ATOL, DensityMatrix, hs_distance, is_nonnegative, require_unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,10 +175,9 @@ class DampingSchedule:
     time: float
 
     def __post_init__(self):
-        if self.rate < 0.0:
-            raise OutOfRangeError(f"rate must be >= 0, got {self.rate}")
-        if self.time < 0.0:
-            raise OutOfRangeError(f"time must be >= 0, got {self.time}")
+        for name, value in (("rate", self.rate), ("time", self.time)):
+            if not is_nonnegative(value):
+                raise OutOfRangeError(f"{name} must be finite and >= 0, got {value}")
 
     @property
     def damping(self) -> float:

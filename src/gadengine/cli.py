@@ -141,15 +141,22 @@ def _ergomap_spec(args) -> SweepSpec:
     return spec
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="output file (default: standard output)")
-    parser.add_argument("--points", type=int, default=None, metavar="N",
-                        help="override the number of sweep points per axis")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override a parameter (repeatable); also sweep=... / series=...")
+def _add_paper_literal(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--paper-literal", action="store_true",
                         help="use the documented uncorrected formula variants for comparison")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, set_help: str) -> None:
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="output file (default: standard output)")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE", help=set_help)
+    _add_paper_literal(parser)
+
+
+def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    _add_run_flags(parser, "override a parameter (repeatable); also sweep=... / series=...")
+    parser.add_argument("--points", type=int, default=None, metavar="N",
+                        help="override the number of sweep points per axis")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,17 +168,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a preset or spec-file sweep and emit CSV")
     p_sweep.add_argument("spec", help=f"preset name ({', '.join(PRESET_NAMES)}) or key=value file")
-    _add_common(p_sweep)
+    _add_sweep_flags(p_sweep)
 
     p_val = sub.add_parser("validate", help="run the self-check suite")
-    _add_common(p_val)
+    _add_paper_literal(p_val)
 
     p_ergo = sub.add_parser("ergomap", help="emit an ergotropy landscape as long-form CSV")
-    _add_common(p_ergo)
+    _add_sweep_flags(p_ergo)
 
     p_rep = sub.add_parser("report", help="run one engine configuration from a key=value file")
     p_rep.add_argument("specfile", help="key=value file with engine=cyclic|noncyclic|qutrit")
-    _add_common(p_rep)
+    _add_run_flags(p_rep, "override a key of the file (repeatable)")
     return parser
 
 

@@ -228,11 +228,12 @@ _SYSTEMS = {
 }
 
 
-def _parameter_columns(spec: SweepSpec, keys, swept: str, series) -> tuple:
+def _parameter_columns(spec: SweepSpec, keys) -> tuple:
     """(columns by key, swept value of each row), series-major and sweep-minor.
 
     A key takes the series value, else the swept value, else its fixed value.
     """
+    swept, series = spec.swept.name, spec.series
     values = spec.swept.values()
     points = np.tile(values, len(series.values) if series is not None else 1)
     fixed = {"k": 1.0, **spec.fixed_params}
@@ -303,18 +304,15 @@ def _join(name: str, parts) -> Sequence:
 def _sweep_engine(spec: SweepSpec, parts, paper_literal: bool) -> SweepTable:
     """Engine rows of every part, one part after the other.
 
-    parts are (system, cyclic) pairs. A lone qubit part takes the series
-    axis and the swept parameter's name; a qubit-and-qutrit table ignores
-    the series and feeds the swept values to f.
+    parts are (system, cyclic) pairs; _validate_spec has checked that the
+    spec's series and swept parameter apply to them.
     """
     mixed = any(system == "qutrit" for system, _ in parts)
-    swept = "f" if mixed else spec.swept.name
-    series = spec.series if len(parts) == 1 else None
     built = []
     for system, cyclic in parts:
         keys, checks, build = _SYSTEMS[system]
-        cols, points = _parameter_columns(spec, keys, swept, series)
-        _check_rows(cols, checks, build, swept, points)
+        cols, points = _parameter_columns(spec, keys)
+        _check_rows(cols, checks, build, spec.swept.name, points)
         cols.update(_run_rows(system, cyclic, cols))
         cols["system"], cols["cyclic"] = [system] * points.size, [cyclic] * points.size
         if system == "qubit":
@@ -332,10 +330,12 @@ def _sweep_engine(spec: SweepSpec, parts, paper_literal: bool) -> SweepTable:
 
 
 _REPORT_ENGINES = {
-    "cyclic": (qubit_config_from_params, run_cyclic_qubit, qubit_record, QUBIT_RECORD_FIELDS),
-    "noncyclic": (qubit_config_from_params, run_noncyclic_qubit, qubit_record,
+    "cyclic": (_QUBIT_KEYS, qubit_config_from_params, run_cyclic_qubit, qubit_record,
+               QUBIT_RECORD_FIELDS),
+    "noncyclic": (_QUBIT_KEYS, qubit_config_from_params, run_noncyclic_qubit, qubit_record,
                   QUBIT_RECORD_FIELDS),
-    "qutrit": (qutrit_config_from_params, run_qutrit, qutrit_record, QUTRIT_RECORD_FIELDS),
+    "qutrit": (_QUTRIT_KEYS, qutrit_config_from_params, run_qutrit, qutrit_record,
+               QUTRIT_RECORD_FIELDS),
 }
 REPORT_ENGINES = tuple(sorted(_REPORT_ENGINES))
 
@@ -345,8 +345,14 @@ def run_report(engine: str, params: dict, *, paper_literal: bool = False) -> Swe
 
     paper_literal adds the literal cold heat column to qutrit reports.
     """
-    config, run, record, columns = _REPORT_ENGINES[engine]
-    cfg = config(params)
+    keys, config, run, record, columns = _REPORT_ENGINES[engine]
+    for key in params:
+        if key not in keys:
+            raise OutOfRangeError(f"parameter {key!r} does not apply to engine {engine!r}")
+    try:
+        cfg = config(params)
+    except KeyError as exc:
+        raise OutOfRangeError(f"parameter {exc.args[0]!r} is not set") from None
     rec = record(cfg, run(cfg))
     if paper_literal and engine == "qutrit":
         rec["q_cold_literal"] = variants.qutrit_cold_heat_literal(cfg)
@@ -431,33 +437,42 @@ def _sweep_ergotropy_diff(spec: SweepSpec) -> SweepTable:
 
 
 # literal: the target has a paper-literal variant (a q_cold_literal column);
+# series: the target takes a series axis (only one-part engine targets do);
+# swept: the one parameter the target can sweep, where it is fixed;
 # parts: the (system, cyclic) row blocks of an engine target, in row order
 _TARGETS = {
-    "work_vs_f": dict(keys=_QUBIT_KEYS, literal=False, parts=(("qubit", True),)),
-    "work_vs_pg": dict(keys=_QUBIT_KEYS, literal=False, parts=(("qubit", True),)),
-    "work_vs_f_noncyclic": dict(keys=_QUBIT_KEYS, literal=False, parts=(("qubit", False),)),
+    "work_vs_f": dict(keys=_QUBIT_KEYS, literal=False, series=True, parts=(("qubit", True),)),
+    "work_vs_pg": dict(keys=_QUBIT_KEYS, literal=False, series=True, parts=(("qubit", True),)),
+    "work_vs_f_noncyclic": dict(
+        keys=_QUBIT_KEYS, literal=False, series=True, parts=(("qubit", False),)),
     "heat_work_cyclic_vs_noncyclic": dict(
         keys=_QUBIT_KEYS, literal=False, parts=(("qubit", True), ("qubit", False))),
     "qutrit_vs_qubit_work": dict(
-        keys=_QUBIT_KEYS | _QUTRIT_KEYS, literal=True, parts=(("qubit", True), ("qutrit", False))),
+        keys=_QUBIT_KEYS | _QUTRIT_KEYS, literal=True, swept="f",
+        parts=(("qubit", True), ("qutrit", False))),
     "efficiency": dict(
-        keys=_QUBIT_KEYS | _QUTRIT_KEYS, literal=True, parts=(("qubit", False), ("qutrit", False))),
-    "ergotropy_map": dict(keys=_MAP_KEYS | {"f"}, literal=False),
-    "ergotropy_diff": dict(keys=_MAP_KEYS | {"f"}, literal=False),
+        keys=_QUBIT_KEYS | _QUTRIT_KEYS, literal=True, swept="f",
+        parts=(("qubit", False), ("qutrit", False))),
+    "ergotropy_map": dict(keys=_MAP_KEYS | {"f"}, literal=False, swept="f"),
+    "ergotropy_diff": dict(keys=_MAP_KEYS | {"f"}, literal=False, swept="f"),
 }
 
 
 def _validate_spec(spec: SweepSpec) -> None:
     if spec.target not in _TARGETS:
         raise OutOfRangeError(f"unknown sweep target {spec.target!r}")
-    allowed = _TARGETS[spec.target]["keys"]
+    target = _TARGETS[spec.target]
+    allowed = target["keys"]
     for key in spec.fixed_params:
         if key not in allowed:
             raise OutOfRangeError(f"parameter {key!r} does not apply to target {spec.target!r}")
-    if spec.swept.name not in allowed:
-        raise OutOfRangeError(f"swept parameter {spec.swept.name!r} does not apply")
-    if spec.series is not None and spec.series.name not in allowed:
-        raise OutOfRangeError(f"series parameter {spec.series.name!r} does not apply")
+    swept = spec.swept.name
+    if swept not in allowed or swept != target.get("swept", swept):
+        raise OutOfRangeError(f"swept parameter {swept!r} does not apply to target {spec.target!r}")
+    series = spec.series
+    if series is not None and (series.name not in allowed or not target.get("series")):
+        raise OutOfRangeError(
+            f"series parameter {series.name!r} does not apply to target {spec.target!r}")
 
 
 def run_sweep(spec: SweepSpec, *, paper_literal: bool = False) -> SweepTable:

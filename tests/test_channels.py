@@ -228,6 +228,11 @@ class TestDampingSchedule:
             DampingSchedule(rate=-1.0, time=1.0)
         with pytest.raises(OutOfRangeError):
             DampingSchedule(rate=1.0, time=-1.0)
+        for rate, time, name in ((math.nan, 1.0, "rate"), (math.inf, 0.0, "rate"),
+                                 (-math.inf, 1.0, "rate"), (1.0, math.nan, "time"),
+                                 (0.0, math.inf, "time")):
+            with pytest.raises(OutOfRangeError, match=name):
+                DampingSchedule(rate=rate, time=time)
 
     @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
     def test_monotone_in_time(self, rate, t1, t2):

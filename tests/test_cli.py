@@ -67,6 +67,34 @@ class TestSweepCommand:
         assert f"{key}={value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["fig4", "fig5", "fig6"])
+    def test_series_on_two_part_target_is_bad_input(self, tmp_path, capsys, name):
+        out = tmp_path / "out.csv"
+        assert run_cli("sweep", name, "--points", "3", "--set", "series=k:0.1,0.9",
+                       "--out", str(out)) == 2
+        assert "series parameter 'k'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [("sweep", "fig5"), ("sweep", "fig6"), ("ergomap",)])
+    def test_swept_name_other_than_f_is_bad_input(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        assert run_cli(*command, "--points", "3", "--set", "sweep=pg:0:1:3",
+                       "--out", str(out)) == 2
+        assert "swept parameter 'pg'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_part_qubit_target_sweeps_any_qubit_parameter(self, capsys):
+        assert run_cli("sweep", "fig4", "--points", "3", "--set", "sweep=pg:0:1:3",
+                       "--set", "f=0.5") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.5", "1"] * 2
+
+
+def _rejected_by_argparse(*args) -> int:
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*args)
+    return exc.value.code
+
 
 class TestValidateCommand:
     def test_stock_build_passes(self, capsys):
@@ -80,6 +108,14 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "FAIL qutrit_channel_completeness_uncorrected_f3" in out
         assert "FAIL noncyclic_populations_composition_uncorrected_pe" in out
+
+    @pytest.mark.parametrize("flag", [("--out", "v.csv"), ("--points", "7"),
+                                      ("--set", "bogus=nan")])
+    def test_takes_no_output_flags(self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        assert _rejected_by_argparse("validate", *flag) == 2
+        assert flag[0] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestErgomapCommand:
@@ -141,6 +177,15 @@ class TestPaperLiteralFlag:
         assert out.read_text().splitlines()[0].endswith(",q_cold_literal")
 
 
+_QUBIT_PARAMS = "pg=0.9\nf=0.2\ngamma=0.5\ndh=1\ndc=0.5\n"
+_REPORT_PARAMS = {
+    "cyclic": _QUBIT_PARAMS,
+    "noncyclic": _QUBIT_PARAMS,
+    "qutrit": "p0=0.6\np1=0.3\np2=0.1\nf=0.4\nlam1=0.3\nlam2=0.25\nk1=0.2\nk2=0.35\n"
+              "dh10=1\ndh20=2\ndc10=0.5\ndc20=1\n",
+}
+
+
 class TestReportCommand:
     def test_cyclic_report(self, tmp_path, capsys):
         spec = tmp_path / "run.txt"
@@ -175,6 +220,38 @@ class TestReportCommand:
 
     def test_missing_file_is_bad_input(self, capsys):
         assert run_cli("report", "/nonexistent/file.txt") == 2
+
+    def test_takes_no_points_flag(self, tmp_path, capsys):
+        spec = tmp_path / "run.txt"
+        spec.write_text("engine=cyclic\n" + _QUBIT_PARAMS)
+        assert _rejected_by_argparse("report", str(spec), "--points", "99") == 2
+        assert "--points" in capsys.readouterr().err
+
+    def test_set_overrides_a_file_key(self, tmp_path, capsys):
+        spec = tmp_path / "run.txt"
+        spec.write_text("engine=cyclic\n" + _QUBIT_PARAMS)
+        assert run_cli("report", str(spec), "--set", "f=0.3") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert dict(zip(lines[0].split(","), lines[1].split(",")))["f"] == "0.3"
+
+    @pytest.mark.parametrize("engine, extra, key", [
+        ("cyclic", "lam1=7\nbogus=3\n", "lam1"),
+        ("noncyclic", "bogus=3\n", "bogus"),
+        ("qutrit", "pg=0.9\n", "pg"),
+    ])
+    def test_unknown_key_is_bad_input(self, tmp_path, capsys, engine, extra, key):
+        spec = tmp_path / "run.txt"
+        spec.write_text(f"engine={engine}\n" + _REPORT_PARAMS[engine] + extra)
+        out = tmp_path / "out.csv"
+        assert run_cli("report", str(spec), "--out", str(out)) == 2
+        assert f"parameter {key!r} does not apply to engine {engine!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_key_is_bad_input(self, tmp_path, capsys):
+        spec = tmp_path / "run.txt"
+        spec.write_text("engine=cyclic\npg=0.9\nf=0.2\ngamma=0.5\ndh=1\n")
+        assert run_cli("report", str(spec)) == 2
+        assert "parameter 'dc' is not set" in capsys.readouterr().err
 
 
 class TestEndToEnd:

@@ -1,8 +1,4 @@
-"""The JIT and numpy landscape kernels must be interchangeable."""
-
-import os
-import subprocess
-import sys
+"""The numpy landscape fills against scalar loops written out by hand."""
 
 import numpy as np
 import pytest
@@ -15,25 +11,8 @@ LAM1 = -np.expm1(-1.0 * np.linspace(0.0, 0.69, 43))
 LAM2 = -np.expm1(-0.25 * np.linspace(0.0, 0.69, 43))
 
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-
-
-@needs_numba
-def test_qubit_paths_agree_bitwise():
-    jit = _kernels.qubit_fill_numba(1.0, 0.0, F_AXIS, LAM, -0.5, 0.5)
-    ref = _kernels.qubit_fill_numpy(1.0, 0.0, F_AXIS, LAM, -0.5, 0.5)
-    assert np.array_equal(jit, ref)
-
-
-@needs_numba
-def test_qutrit_paths_agree_bitwise():
-    jit = _kernels.qutrit_fill_numba(0.8, 0.15, 0.05, F_AXIS, LAM1, LAM2, 0.0, 1.0, 2.0)
-    ref = _kernels.qutrit_fill_numpy(0.8, 0.15, 0.05, F_AXIS, LAM1, LAM2, 0.0, 1.0, 2.0)
-    assert np.array_equal(jit, ref)
-
-
 def test_numpy_qubit_against_scalar_loop():
-    ref = _kernels.qubit_fill_numpy(0.9, 0.1, F_AXIS, LAM, -0.5, 0.5)
+    ref = _kernels.qubit_fill(0.9, 0.1, F_AXIS, LAM, -0.5, 0.5)
     for i, f in enumerate(F_AXIS):
         for j, l in enumerate(LAM):
             pe = 0.1 * (1.0 - f * l) + 0.9 * (1.0 - f) * l
@@ -42,7 +21,7 @@ def test_numpy_qubit_against_scalar_loop():
 
 
 def test_numpy_qutrit_against_scalar_loop():
-    ref = _kernels.qutrit_fill_numpy(1.0, 0.0, 0.0, F_AXIS, LAM1, LAM2, 0.0, 1.0, 2.0)
+    ref = _kernels.qutrit_fill(1.0, 0.0, 0.0, F_AXIS, LAM1, LAM2, 0.0, 1.0, 2.0)
     for i, f in enumerate(F_AXIS):
         for j in range(LAM1.size):
             q1 = (1.0 - f) * LAM1[j]
@@ -52,18 +31,6 @@ def test_numpy_qutrit_against_scalar_loop():
             hi, mid, lo = sorted((q0, q1, q2), reverse=True)
             passive = mid + 2.0 * lo
             assert ref[i, j] == pytest.approx(active - passive, abs=1e-14)
-
-
-def test_env_flag_selects_numpy_path():
-    env = dict(os.environ, GADENGINE_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from gadengine import _kernels; print(_kernels.USE_NUMBA)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
 
 
 def test_values_are_nonnegative():
