@@ -30,6 +30,10 @@ def qutrit_fill(p0, p1, p2, f_axis, lam1, lam2, e0, e1, e2):
     q2 = (1.0 - f * l2) * p2 + (1.0 - f) * l2 * p0
     q0 = 1.0 - q1 - q2
     active = e0 * q0 + e1 * q1 + e2 * q2
-    srt = np.sort(np.stack((q0, q1, q2), axis=-1), axis=-1)
-    passive = e0 * srt[..., 2] + e1 * srt[..., 1] + e2 * srt[..., 0]
+    # a three-input sorting network: the same values as a sort along a
+    # stacked axis, without the two (..., 3) copies
+    lo, hi = np.minimum(q0, q1), np.maximum(q0, q1)
+    mid, hi = np.minimum(hi, q2), np.maximum(hi, q2)
+    lo, mid = np.minimum(lo, mid), np.maximum(lo, mid)
+    passive = e0 * hi + e1 * mid + e2 * lo
     return active - passive

@@ -125,6 +125,8 @@ def _ergomap_spec(args) -> SweepSpec:
         key, _, value = item.partition("=")
         if key.strip() == "system":
             system = value.strip()
+        elif key.strip() == "dim":
+            raise ValueError("parameter 'dim' does not apply to ergomap; system sets the medium")
         else:
             kept.append(item)
     if system == "qubit":

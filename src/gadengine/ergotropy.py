@@ -23,7 +23,15 @@ from .errors import (
     InfeasibleDampingError,
     OutOfRangeError,
 )
-from .states import ATOL, DensityMatrix, Hamiltonian, energy, is_nonnegative
+from .states import (
+    ATOL,
+    DensityMatrix,
+    Hamiltonian,
+    energy,
+    is_nonnegative,
+    is_normalized,
+    is_unit,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,11 +160,15 @@ def _checked_axis(name: str, axis, lower=None, upper=None) -> np.ndarray:
 def ergotropy_landscape(initial, h: Hamiltonian, f_axis, t_axis, rates) -> ErgotropyGrid:
     """Fill the (f, t) extractable-work grid for one working medium.
 
-    rates holds one decay rate for qubits, two for qutrits. Qutrit grids are
+    initial holds populations in [0, 1] that sum to 1; rates holds one decay
+    rate for qubits, two for qutrits. Qutrit grids are
     feasibility-checked first: every t with lambda1(t) + lambda2(t) > 1 is
     collected and reported in the raised error, never clamped.
     """
     initial = tuple(float(p) for p in initial)
+    if not (all(is_unit(p) for p in initial) and is_normalized(sum(initial))):
+        raise OutOfRangeError(
+            f"initial populations must lie in [0, 1] and sum to 1, got {initial}")
     dim = len(initial)
     if dim != h.dim:
         raise DimensionMismatchError(f"initial has {dim} entries, spectrum has {h.dim}")

@@ -44,6 +44,7 @@ from .errors import GadEngineError, OutOfRangeError, UnknownPresetError
 from .states import (
     Hamiltonian,
     is_feasible,
+    is_nonnegative,
     is_normalized,
     is_positive,
     is_spectrum,
@@ -210,9 +211,21 @@ _QUTRIT_CHECKS = (
 )
 _QUBIT_KEYS = frozenset(key for _, *keys in _QUBIT_CHECKS for key in keys)
 _QUTRIT_KEYS = frozenset(key for _, *keys in _QUTRIT_CHECKS for key in keys)
+# the same for the landscape inputs, in the order in which the grid builders
+# check them (Hamiltonian first, then ergotropy_landscape); defaults stand in
+# for keys a spec leaves out
+_QUBIT_MAP_CHECKS = ((is_positive, "gap"), (is_unit, "pg"), (is_nonnegative, "rate"))
+_QUTRIT_MAP_CHECKS = (
+    (lambda a, b: is_spectrum(_levels(a, b)), "gap10", "gap20"),
+    (is_unit, "p0"), (is_unit, "p1"), (is_unit, "p2"),
+    (lambda p0, p1, p2: is_normalized(p0 + p1 + p2), "p0", "p1", "p2"),
+    (is_nonnegative, "rate1"), (is_nonnegative, "rate2"),
+)
+_QUBIT_MAP_DEFAULTS = {"gap": 1.0, "rate": 1.0}
+_QUTRIT_MAP_DEFAULTS = {"gap10": 1.0, "gap20": 2.0, "rate1": 1.0, "rate2": 1.0}
 _MAP_KEYS = frozenset(
-    {"dim", "pg", "p0", "p1", "p2", "gap", "gap10", "gap20",
-     "rate", "rate1", "rate2", "tmax", "tpoints"}
+    {"tmax", "tpoints",
+     *(key for _, *keys in _QUBIT_MAP_CHECKS + _QUTRIT_MAP_CHECKS for key in keys)}
 )
 
 MIXED_RECORD_FIELDS = (
@@ -250,11 +263,11 @@ def _parameter_columns(spec: SweepSpec, keys) -> tuple:
     return columns, points
 
 
-def _check_rows(columns: dict, checks, build, swept: str, points) -> None:
+def _check_rows(columns: dict, checks, build, swept=None, points=None) -> None:
     """Raise the config error of the first row that fails a check, if any.
 
-    The error is annotated with the row's swept value and the parameters
-    of the failing check.
+    The error is annotated with the parameters of the failing check and,
+    given a swept parameter, the row's swept value.
     """
     passed = [check(*(columns[key] for key in keys)) for check, *keys in checks]
     failed = ~np.logical_and.reduce(passed)
@@ -263,12 +276,29 @@ def _check_rows(columns: dict, checks, build, swept: str, points) -> None:
     row = int(np.argmax(failed))
     failing = next(keys for (_, *keys), ok in zip(checks, passed) if not ok[row])
     named = ", ".join(f"{key}={columns[key][row]:g}" for key in failing if key != swept)
-    where = f"at {swept}={points[row]:g}" + (f" ({named})" if named else "")
+    where = named
+    if swept is not None:
+        where = f"at {swept}={points[row]:g}" + (f" ({named})" if named else "")
     try:
         build({key: float(col[row]) for key, col in columns.items()})
     except GadEngineError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
     raise OutOfRangeError(f"{where}: {', '.join(failing)} out of range")
+
+
+def _checked(checks, params: dict, build):
+    """build(params), once params pass the checks as the one row of _check_rows.
+
+    Every key the checks name must be set.
+    """
+    columns = {}
+    for _, *keys in checks:
+        for key in keys:
+            if key not in params:
+                raise OutOfRangeError(f"parameter {key!r} is not set")
+            columns[key] = np.array([float(params[key])])
+    _check_rows(columns, checks, build)
+    return build(params)
 
 
 def _run_rows(system: str, cyclic: bool, columns: dict) -> dict:
@@ -330,12 +360,9 @@ def _sweep_engine(spec: SweepSpec, parts, paper_literal: bool) -> SweepTable:
 
 
 _REPORT_ENGINES = {
-    "cyclic": (_QUBIT_KEYS, qubit_config_from_params, run_cyclic_qubit, qubit_record,
-               QUBIT_RECORD_FIELDS),
-    "noncyclic": (_QUBIT_KEYS, qubit_config_from_params, run_noncyclic_qubit, qubit_record,
-                  QUBIT_RECORD_FIELDS),
-    "qutrit": (_QUTRIT_KEYS, qutrit_config_from_params, run_qutrit, qutrit_record,
-               QUTRIT_RECORD_FIELDS),
+    "cyclic": ("qubit", run_cyclic_qubit, qubit_record, QUBIT_RECORD_FIELDS),
+    "noncyclic": ("qubit", run_noncyclic_qubit, qubit_record, QUBIT_RECORD_FIELDS),
+    "qutrit": ("qutrit", run_qutrit, qutrit_record, QUTRIT_RECORD_FIELDS),
 }
 REPORT_ENGINES = tuple(sorted(_REPORT_ENGINES))
 
@@ -345,14 +372,12 @@ def run_report(engine: str, params: dict, *, paper_literal: bool = False) -> Swe
 
     paper_literal adds the literal cold heat column to qutrit reports.
     """
-    keys, config, run, record, columns = _REPORT_ENGINES[engine]
+    system, run, record, columns = _REPORT_ENGINES[engine]
+    keys, checks, config = _SYSTEMS[system]
     for key in params:
         if key not in keys:
             raise OutOfRangeError(f"parameter {key!r} does not apply to engine {engine!r}")
-    try:
-        cfg = config(params)
-    except KeyError as exc:
-        raise OutOfRangeError(f"parameter {exc.args[0]!r} is not set") from None
+    cfg = _checked(checks, {"k": 1.0, **params}, config)
     rec = record(cfg, run(cfg))
     if paper_literal and engine == "qutrit":
         rec["q_cold_literal"] = variants.qutrit_cold_heat_literal(cfg)
@@ -370,35 +395,36 @@ def _grid_preamble(prefix: str, grid) -> tuple:
 
 
 def _qubit_grid(spec: SweepSpec, t_axis):
-    p = spec.fixed_params
-    pg = p["pg"]
-    gap = p.get("gap", 1.0)
-    h = Hamiltonian((-gap / 2.0, gap / 2.0))
-    return ergotropy_landscape(
-        (pg, 1.0 - pg), h, spec.swept.values(), t_axis, (p.get("rate", 1.0),)
-    )
+    def build(p):
+        h = Hamiltonian((-p["gap"] / 2.0, p["gap"] / 2.0))
+        return ergotropy_landscape(
+            (p["pg"], 1.0 - p["pg"]), h, spec.swept.values(), t_axis, (p["rate"],)
+        )
+
+    return _checked(_QUBIT_MAP_CHECKS, {**_QUBIT_MAP_DEFAULTS, **spec.fixed_params}, build)
 
 
 def _qutrit_grid(spec: SweepSpec, t_axis):
-    p = spec.fixed_params
-    h = Hamiltonian((0.0, p.get("gap10", 1.0), p.get("gap20", 2.0)))
-    return ergotropy_landscape(
-        (p["p0"], p["p1"], p["p2"]),
-        h,
-        spec.swept.values(),
-        t_axis,
-        (p.get("rate1", 1.0), p.get("rate2", 1.0)),
-    )
+    def build(p):
+        h = Hamiltonian((0.0, p["gap10"], p["gap20"]))
+        return ergotropy_landscape(
+            (p["p0"], p["p1"], p["p2"]), h, spec.swept.values(), t_axis,
+            (p["rate1"], p["rate2"]),
+        )
+
+    return _checked(_QUTRIT_MAP_CHECKS, {**_QUTRIT_MAP_DEFAULTS, **spec.fixed_params}, build)
 
 
 def _t_axis(spec: SweepSpec) -> np.ndarray:
     tmax = spec.fixed_params.get("tmax", 1.0)
     if not math.isfinite(tmax):
         raise OutOfRangeError(f"tmax must be finite, got {tmax}")
-    tpoints = int(spec.fixed_params.get("tpoints", spec.swept.points))
+    tpoints = spec.fixed_params.get("tpoints", spec.swept.points)
+    if not float(tpoints).is_integer():
+        raise OutOfRangeError(f"tpoints must be a finite integer, got {tpoints}")
     if tpoints < 2:
-        raise OutOfRangeError("tpoints must be at least 2")
-    return np.linspace(0.0, tmax, tpoints)
+        raise OutOfRangeError(f"tpoints must be at least 2, got {tpoints:g}")
+    return np.linspace(0.0, tmax, int(tpoints))
 
 
 def _long_form(grid) -> tuple:
@@ -408,8 +434,10 @@ def _long_form(grid) -> tuple:
 
 
 def _sweep_ergotropy_map(spec: SweepSpec) -> SweepTable:
+    dim = spec.fixed_params.get("dim", 2)
+    if dim not in (2, 3):
+        raise OutOfRangeError(f"dim must be 2 or 3, got {dim}")
     t_axis = _t_axis(spec)
-    dim = int(spec.fixed_params.get("dim", 2))
     grid = _qubit_grid(spec, t_axis) if dim == 2 else _qutrit_grid(spec, t_axis)
     return SweepTable(
         columns=("f", "t", "value"),
@@ -453,7 +481,7 @@ _TARGETS = {
     "efficiency": dict(
         keys=_QUBIT_KEYS | _QUTRIT_KEYS, literal=True, swept="f",
         parts=(("qubit", False), ("qutrit", False))),
-    "ergotropy_map": dict(keys=_MAP_KEYS | {"f"}, literal=False, swept="f"),
+    "ergotropy_map": dict(keys=_MAP_KEYS | {"dim", "f"}, literal=False, swept="f"),
     "ergotropy_diff": dict(keys=_MAP_KEYS | {"f"}, literal=False, swept="f"),
 }
 
@@ -644,26 +672,47 @@ def _fmt(value) -> str:
 _CHUNK_CELLS = 1 << 16
 
 
+def _float_cells(part: np.ndarray):
+    """(cells, field) of a float64 column chunk for the chunk's % template.
+
+    Cells are formatted with "%.12g", which gives the bytes of _fmt for every
+    float (nan, +-inf and -0 included). A chunk whose distinct bit patterns
+    are at most half its rows formats each pattern once and places the
+    strings with "%s"; bit patterns keep -0 apart from +0. Any other chunk
+    leaves the floats to the template: placing the strings costs about what
+    formatting once saves at half distinct, and more above it.
+    """
+    bits, inverse = np.unique(part.view(np.int64), return_inverse=True)
+    if 2 * bits.size > part.size:
+        return part, "%.12g"
+    text = ("%.12g," * bits.size) % tuple(bits.view(np.float64).tolist())
+    return np.array(text.split(",")[:-1], dtype=object)[inverse], "%s"
+
+
 def _text_chunks(table: SweepTable):
     """Yield the data lines of a table as text, about _CHUNK_CELLS cells at a time.
 
-    Float64 columns take "%.12g", which gives the bytes of _fmt for every
-    float (nan, +-inf and -0 included); cells of any other column are
+    Float64 columns go through _float_cells; cells of any other column are
     formatted by _fmt first and inserted with "%s".
     """
     data = table.data
     if not data:
         return
     floats = [isinstance(col, np.ndarray) and col.dtype == np.float64 for col in data]
-    line = ",".join("%.12g" if is_float else "%s" for is_float in floats) + "\n"
     step = max(1, _CHUNK_CELLS // len(data))
     total = len(data[0])
     for start in range(0, total, step):
         stop = min(start + step, total)
         block = np.empty((stop - start, len(data)), dtype=object)
+        fields = []
         for j, (col, is_float) in enumerate(zip(data, floats)):
             part = col[start:stop]
-            block[:, j] = part if is_float else [_fmt(cell) for cell in part]
+            if is_float:
+                block[:, j], field = _float_cells(part)
+            else:
+                block[:, j], field = [_fmt(cell) for cell in part], "%s"
+            fields.append(field)
+        line = ",".join(fields) + "\n"
         yield (line * (stop - start)) % tuple(block.ravel().tolist())
 
 

@@ -1,9 +1,11 @@
+import re
 import subprocess
 import sys
 
 import pytest
 
 from gadengine.cli import main
+from gadengine.sweeps import PRESET_NAMES, REPORT_ENGINES, preset
 
 
 def run_cli(*args):
@@ -158,6 +160,80 @@ class TestErgomapCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("system, key, value", [
+        ("qubit", "pg", "1.7"), ("qubit", "pg", "-0.2"), ("qubit", "pg", "nan"),
+        ("qutrit", "p0", "0.5"), ("qutrit", "p1", "0.3"), ("qutrit", "p2", "-inf"),
+        ("diff", "pg", "1.5"), ("diff", "p2", "0.5"),
+    ])
+    def test_invalid_population_is_bad_input(self, tmp_path, capsys, system, key, value):
+        out = tmp_path / "map.csv"
+        assert run_cli("ergomap", "--points", "5", "--set", f"system={system}",
+                       "--set", f"{key}={value}", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{key}={value}" in err and "initial populations" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "3.9", "1"])
+    def test_bad_tpoints_is_bad_input(self, tmp_path, capsys, value):
+        # --points would overwrite tpoints, so the run is shrunk with sweep=...
+        out = tmp_path / "map.csv"
+        assert run_cli("ergomap", "--set", "sweep=f:0:1:3", "--set", f"tpoints={value}",
+                       "--out", str(out)) == 2
+        assert "tpoints must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_tpoints_accepted(self, capsys):
+        assert run_cli("ergomap", "--set", "sweep=f:0:1:3", "--set", "tpoints=4.0") == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10 + 3 * 4
+
+    @pytest.mark.parametrize("value", ["7", "2.9", "3.5", "nan", "inf", "0"])
+    def test_bad_dim_is_bad_input(self, tmp_path, capsys, value):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("target=ergotropy_map\nsweep=f:0:1:3\npg=0.2\n"
+                        f"p0=0.1\np1=0.3\np2=0.6\ndim={value}\n")
+        out = tmp_path / "map.csv"
+        assert run_cli("sweep", str(spec), "--out", str(out)) == 2
+        assert "dim must be 2 or 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("system", [(), ("--set", "system=qubit"), ("--set", "system=qutrit")])
+    @pytest.mark.parametrize("dim", ["2", "3"])
+    def test_dim_on_ergomap_is_bad_input(self, tmp_path, capsys, system, dim):
+        # system chooses the medium; a dim beside it would be one more way to say it
+        out = tmp_path / "map.csv"
+        assert run_cli("ergomap", "--points", "3", *system, "--set", f"dim={dim}",
+                       "--out", str(out)) == 2
+        assert "parameter 'dim' does not apply" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_population_is_bad_input(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("target=ergotropy_map\nsweep=f:0:1:3\n")
+        assert run_cli("sweep", str(spec)) == 2
+        assert "parameter 'pg' is not set" in capsys.readouterr().err
+
+
+NON_FINITE = ("nan", "inf", "-inf")
+
+
+def _names_key(err: str, key: str, value: str) -> bool:
+    """The error names the key with its value (key=value) or as the subject (key must ...)."""
+    return re.search(rf"\b{key}(={re.escape(value)}\b| must )", err) is not None
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name, key", [(name, key) for name in PRESET_NAMES
+                                       for key in sorted(preset(name).fixed_params)])
+def test_non_finite_preset_key_is_bad_input(tmp_path, capsys, name, key, value):
+    swept = preset(name).swept
+    out = tmp_path / "out.csv"
+    assert run_cli("sweep", name, "--set", f"sweep={swept.name}:{swept.start:g}:{swept.stop:g}:3",
+                   "--set", f"{key}={value}", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert _names_key(err, key, value), err
+    assert not out.exists()
+
+
 class TestPaperLiteralFlag:
     @pytest.mark.parametrize("command", [
         ("ergomap",),
@@ -252,6 +328,27 @@ class TestReportCommand:
         spec.write_text("engine=cyclic\npg=0.9\nf=0.2\ngamma=0.5\ndh=1\n")
         assert run_cli("report", str(spec)) == 2
         assert "parameter 'dc' is not set" in capsys.readouterr().err
+
+
+def _engine_keys(engine):
+    """The keys of an engine's report file, and the qubit engines' optional k."""
+    keys = [line.split("=")[0] for line in _REPORT_PARAMS[engine].split()]
+    return keys + (["k"] if engine != "qutrit" else [])
+
+
+_REPORT_KEYS = [(engine, key) for engine in REPORT_ENGINES for key in _engine_keys(engine)]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("engine, key", _REPORT_KEYS)
+def test_non_finite_report_key_is_bad_input(tmp_path, capsys, engine, key, value):
+    spec = tmp_path / "run.txt"
+    spec.write_text(f"engine={engine}\n" + _REPORT_PARAMS[engine])
+    out = tmp_path / "out.csv"
+    assert run_cli("report", str(spec), "--set", f"{key}={value}", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert _names_key(err, key, value), err
+    assert not out.exists()
 
 
 class TestEndToEnd:

@@ -227,6 +227,57 @@ def test_chunk_boundaries(n):
     assert _emitted(table) == reference_csv(table.columns, list(zip(*table.data)))
 
 
+# --- repeated cells: each distinct bit pattern formatted once per chunk ------
+
+# distinct bit patterns that print alike or nearly so: -0.0 apart from +0.0,
+# NaN with the sign bit set and NaN with a payload, beside infinities, a
+# subnormal and 1e+-300
+POOL = np.concatenate([
+    np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, 1e300, -1e300, 1e-300, 0.5]),
+    np.array([0xFFF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(np.float64),
+])
+REPEAT_ROWS = sweeps._CHUNK_CELLS // 4  # rows per chunk of the four-column table
+
+
+def _distinct(rng, rows, k):
+    """rows cells with exactly min(k, rows) distinct bit patterns, the pool among them."""
+    values = np.concatenate([POOL, rng.standard_normal(k - POOL.size)])
+    return rng.permutation(np.resize(values, rows))
+
+
+def _per_chunk(n, make):
+    return np.concatenate([make(chunk, min(REPEAT_ROWS, n - start))
+                           for chunk, start in enumerate(range(0, n, REPEAT_ROWS))])
+
+
+def _repeated_table(n, seed):
+    rng = np.random.default_rng(seed)
+    half = REPEAT_ROWS // 2
+    return SweepTable(("pool", "switch", "half", "over"), data=(
+        # every chunk draws from the pool: formatted once per pattern
+        rng.choice(POOL, n),
+        # chunks alternate between the pool and mostly distinct cells
+        _per_chunk(n, lambda chunk, rows: rng.choice(POOL, rows) if chunk % 2
+                   else _distinct(rng, rows, rows)),
+        # exactly half of a full chunk distinct: still formatted once per pattern
+        _per_chunk(n, lambda chunk, rows: _distinct(rng, rows, half)),
+        # one more than half distinct: left to the template
+        _per_chunk(n, lambda chunk, rows: _distinct(rng, rows, half + 1)),
+    ))
+
+
+@pytest.mark.parametrize("n", [REPEAT_ROWS + 1, 2 * REPEAT_ROWS, 3 * REPEAT_ROWS - 1])
+def test_repeated_cells_match_reference(n):
+    table = _repeated_table(n, n)
+    assert _emitted(table) == reference_csv(table.columns, list(zip(*table.data)))
+
+
+def test_repeated_cells_take_both_paths():
+    part = _repeated_table(REPEAT_ROWS, 0).data
+    fields = [sweeps._float_cells(col)[1] for col in part]
+    assert fields == ["%s", "%.12g", "%s", "%.12g"]
+
+
 # --- streamed output is atomic ----------------------------------------------
 
 def test_failure_after_first_chunk_leaves_no_file(tmp_path):

@@ -250,6 +250,22 @@ class TestLandscape:
             ergotropy_landscape((1, 0), Hamiltonian((-0.5, 0.5)),
                                 axes["f_axis"], axes["t_axis"], (1.0,))
 
+    @pytest.mark.parametrize("initial", [
+        (1.7, -0.7), (math.nan, math.nan), (math.inf, -math.inf), (0.5, 0.4),
+        (0.5, 0.0, 0.0), (1.2, -0.1, -0.1), (math.nan, 0.5, 0.5), (0.6, 0.6, -0.2),
+    ])
+    def test_invalid_initial_populations_rejected(self, initial):
+        h = Hamiltonian((-0.5, 0.5) if len(initial) == 2 else (0.0, 1.0, 2.0))
+        rates = (1.0,) * (len(initial) - 1)
+        with pytest.raises(OutOfRangeError, match="initial populations"):
+            ergotropy_landscape(initial, h, [0.0, 1.0], [0.0, 1.0], rates)
+
+    def test_boundary_initial_populations_accepted(self):
+        grid = ergotropy_landscape((0.0, 0.0, 1.0), Hamiltonian((0.0, 1.0, 2.0)),
+                                   [0.0, 1.0], [0.0, 1.0], (1.0, 0.25))
+        assert grid.initial == (0.0, 0.0, 1.0)
+        assert grid.values[0, 0] == pytest.approx(2.0, abs=1e-12)
+
 
 class TestLandscapeDifference:
     def make_pair(self, tmax=1.28):
