@@ -10,7 +10,6 @@ from .channels import (
     KrausSet,
     ad_qubit,
     apply,
-    damping_from_schedule,
     fixed_point,
     gad_qubit,
     gad_qubit_populations,

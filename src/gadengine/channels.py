@@ -181,12 +181,8 @@ class DampingSchedule:
 
     @property
     def damping(self) -> float:
+        """Cumulative transition probability after the scheduled contact."""
         return -math.expm1(-self.rate * self.time)
-
-
-def damping_from_schedule(schedule: DampingSchedule) -> float:
-    """Cumulative transition probability after the scheduled contact."""
-    return schedule.damping
 
 
 def gad_qubit_populations(pg: float, pe: float, f: float, gamma: float):

@@ -13,134 +13,79 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .errors import GadEngineError
 from .sweeps import (
+    MAP_KEYS_BY_DIM,
     PRESET_NAMES,
+    PRESETS,
     REPORT_ENGINES,
-    SeriesAxis,
     SweepSpec,
     SweepTable,
-    SweptAxis,
     emit_csv,
-    preset,
     run_report,
     run_sweep,
+    spec_from_mapping,
     with_points,
 )
+from .sweeps import preset  # noqa: F401  e2ebench/run.py imports it from here
 from .validation import validate_all
 
 _BAD_INPUT = 2
 _VALIDATION_FAILED = 1
+_ERGOMAP_DIMS = {"qubit": 2, "qutrit": 3}
 
 
-def _parse_kv_lines(lines, source: str) -> dict:
-    data = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        data[key.strip()] = value.strip()
-    return data
+def _pair(text: str, where: str) -> tuple:
+    if "=" not in text:
+        raise ValueError(f"{where}: expected key=value, got {text!r}")
+    key, value = text.split("=", 1)
+    return key.strip(), value.strip()
 
 
-def _parse_swept(text: str) -> SweptAxis:
-    parts = text.split(":")
-    if len(parts) not in (3, 4):
-        raise ValueError(f"sweep must be name:start:stop[:points], got {text!r}")
-    points = int(parts[3]) if len(parts) == 4 else 201
-    return SweptAxis(parts[0], float(parts[1]), float(parts[2]), points)
+def _read_pairs(path: str) -> dict:
+    """The key=value lines of a file; '#' starts a comment, blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [(lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(fh, 1)]
+    return dict(_pair(line, f"{path}:{lineno}") for lineno, line in lines if line)
 
 
-def _parse_series(text: str) -> SeriesAxis:
-    name, _, values = text.partition(":")
-    if not values:
-        raise ValueError(f"series must be name:v1,v2,..., got {text!r}")
-    return SeriesAxis(name, tuple(float(v) for v in values.split(",")))
+def _set_pairs(items) -> dict:
+    """The --set pairs, each taken whole: a '#' in a value is part of it."""
+    pairs = dict(_pair(item, "--set") for item in items or ())
+    if "target" in pairs:
+        raise ValueError("--set cannot change 'target'; name another preset or spec file")
+    return pairs
 
 
-def _spec_from_mapping(data: dict, source: str) -> SweepSpec:
-    data = dict(data)
-    try:
-        target = data.pop("target")
-        swept = _parse_swept(data.pop("sweep"))
-    except KeyError as exc:
-        raise ValueError(f"{source}: missing required key {exc.args[0]!r}") from None
-    series = _parse_series(data.pop("series")) if "series" in data else None
-    fixed = {key: float(value) for key, value in data.items()}
-    return SweepSpec(target=target, fixed_params=fixed, swept=swept, series=series)
-
-
-def _load_sweep_spec(token: str) -> SweepSpec:
-    if token in PRESET_NAMES:
-        return preset(token)
-    with open(token, encoding="utf-8") as fh:
-        data = _parse_kv_lines(fh, token)
-    return _spec_from_mapping(data, token)
-
-
-def _apply_overrides(spec: SweepSpec, overrides) -> SweepSpec:
-    if not overrides:
-        return spec
-    fixed = dict(spec.fixed_params)
-    swept = spec.swept
-    series = spec.series
-    for item in overrides:
-        if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        if key == "sweep":
-            swept = _parse_swept(value)
-        elif key == "series":
-            series = _parse_series(value)
-        else:
-            fixed[key] = float(value)
-    return replace(spec, fixed_params=fixed, swept=swept, series=series)
+def _spec(base: dict, sets: dict, points) -> SweepSpec:
+    spec = spec_from_mapping({**base, **sets})
+    return with_points(spec, points) if points else spec
 
 
 def _run_report(path: str, overrides, paper_literal: bool) -> SweepTable:
-    with open(path, encoding="utf-8") as fh:
-        data = _parse_kv_lines(fh, path)
-    for item in overrides or ():
-        key, _, value = item.partition("=")
-        data[key.strip()] = value.strip()
+    data = {**_read_pairs(path), **_set_pairs(overrides)}
     engine = data.pop("engine", None)
     if engine not in REPORT_ENGINES:
         raise ValueError(f"{path}: engine must be one of {list(REPORT_ENGINES)}, got {engine!r}")
-    params = {key: float(value) for key, value in data.items()}
-    return run_report(engine, params, paper_literal=paper_literal)
+    return run_report(engine, data, paper_literal=paper_literal)
 
 
 def _ergomap_spec(args) -> SweepSpec:
-    spec = preset("fig7")
-    overrides = list(args.set or [])
-    system = "diff"
-    kept = []
-    for item in overrides:
-        key, _, value = item.partition("=")
-        if key.strip() == "system":
-            system = value.strip()
-        elif key.strip() == "dim":
-            raise ValueError("parameter 'dim' does not apply to ergomap; system sets the medium")
-        else:
-            kept.append(item)
-    if system == "qubit":
-        spec = replace(spec, target="ergotropy_map",
-                       fixed_params={**spec.fixed_params, "dim": 2})
-    elif system == "qutrit":
-        spec = replace(spec, target="ergotropy_map",
-                       fixed_params={**spec.fixed_params, "dim": 3})
+    """fig7's mapping, only the chosen medium's keys for system=qubit|qutrit, then --set."""
+    sets = _set_pairs(args.set)
+    system = sets.pop("system", "diff")
+    if "dim" in sets:
+        raise ValueError("parameter 'dim' does not apply to ergomap; system sets the medium")
+    base = PRESETS["fig7"]
+    if system in _ERGOMAP_DIMS:
+        dim = _ERGOMAP_DIMS[system]
+        other = MAP_KEYS_BY_DIM[5 - dim]
+        base = {key: value for key, value in base.items() if key not in other}
+        base.update(target="ergotropy_map", dim=dim)
     elif system != "diff":
         raise ValueError(f"system must be qubit, qutrit, or diff, got {system!r}")
-    spec = _apply_overrides(spec, kept)
-    if args.points:
-        spec = with_points(spec, args.points)
-    return spec
+    return _spec(base, sets, args.points)
 
 
 def _add_paper_literal(parser: argparse.ArgumentParser) -> None:
@@ -196,17 +141,12 @@ def main(argv=None) -> int:
                   f"{sum(c.passed for c in summary.checks)}/{len(summary.checks)} checks passed")
             return 0 if summary.ok else _VALIDATION_FAILED
 
-        if args.command == "sweep":
-            spec = _load_sweep_spec(args.spec)
-            spec = _apply_overrides(spec, args.set)
-            if args.points:
-                spec = with_points(spec, args.points)
-            table = run_sweep(spec, paper_literal=args.paper_literal)
-            emit_csv(table, args.out)
-            return 0
-
-        if args.command == "ergomap":
-            spec = _ergomap_spec(args)
+        if args.command in ("sweep", "ergomap"):
+            if args.command == "ergomap":
+                spec = _ergomap_spec(args)
+            else:
+                base = PRESETS[args.spec] if args.spec in PRESETS else _read_pairs(args.spec)
+                spec = _spec(base, _set_pairs(args.set), args.points)
             table = run_sweep(spec, paper_literal=args.paper_literal)
             emit_csv(table, args.out)
             return 0

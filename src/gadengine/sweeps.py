@@ -7,11 +7,13 @@ the table with 12 significant digits so repeated runs are byte-identical.
 Engine targets build one column per parameter, check the columns with the
 config predicates, and run the batched engine over blocks of rows.
 
-Presets fig1..fig7 bundle the stock sweeps. Constants that the preset family
-does not pin down elsewhere default to: pg = 0.9, hot gap 1, cold gap 0.5,
-qutrit hot gaps (1, 2) and cold gaps (0.5, 1), and a single damping value
-shared by every damping parameter where one is implied. Every value used is
-recorded in the emitted rows, so no output is ambiguous.
+Presets fig1..fig7 bundle the stock sweeps as the same flat key=value
+mappings a spec file holds, and both become a spec through
+``spec_from_mapping``. Constants that the preset family does not pin down
+elsewhere default to: pg = 0.9, hot gap 1, cold gap 0.5, qutrit hot gaps
+(1, 2) and cold gaps (0.5, 1), and a single damping value shared by every
+damping parameter where one is implied. Every value used is recorded in the
+emitted rows, so no output is ambiguous.
 """
 
 from __future__ import annotations
@@ -209,8 +211,13 @@ _QUTRIT_CHECKS = (
     (is_unit, "f"), (is_unit, "lam1"), (is_unit, "lam2"), (is_unit, "k1"), (is_unit, "k2"),
     (is_feasible, "lam1", "lam2"), (is_feasible, "k1", "k2"),
 )
-_QUBIT_KEYS = frozenset(key for _, *keys in _QUBIT_CHECKS for key in keys)
-_QUTRIT_KEYS = frozenset(key for _, *keys in _QUTRIT_CHECKS for key in keys)
+
+
+def _keys(checks) -> frozenset:
+    return frozenset(key for _, *keys in checks for key in keys)
+
+
+_QUBIT_KEYS, _QUTRIT_KEYS = _keys(_QUBIT_CHECKS), _keys(_QUTRIT_CHECKS)
 # the same for the landscape inputs, in the order in which the grid builders
 # check them (Hamiltonian first, then ergotropy_landscape); defaults stand in
 # for keys a spec leaves out
@@ -223,10 +230,9 @@ _QUTRIT_MAP_CHECKS = (
 )
 _QUBIT_MAP_DEFAULTS = {"gap": 1.0, "rate": 1.0}
 _QUTRIT_MAP_DEFAULTS = {"gap10": 1.0, "gap20": 2.0, "rate1": 1.0, "rate2": 1.0}
-_MAP_KEYS = frozenset(
-    {"tmax", "tpoints",
-     *(key for _, *keys in _QUBIT_MAP_CHECKS + _QUTRIT_MAP_CHECKS for key in keys)}
-)
+# the landscape keys of each medium by system_dim; a map of one dim takes its own only
+MAP_KEYS_BY_DIM = {2: _keys(_QUBIT_MAP_CHECKS), 3: _keys(_QUTRIT_MAP_CHECKS)}
+_MAP_KEYS = MAP_KEYS_BY_DIM[2] | MAP_KEYS_BY_DIM[3] | {"tmax", "tpoints"}
 
 MIXED_RECORD_FIELDS = (
     "system", "f", "pg", "pe", "p0", "p1", "p2", "gamma", "lam1", "lam2",
@@ -377,6 +383,7 @@ def run_report(engine: str, params: dict, *, paper_literal: bool = False) -> Swe
     for key in params:
         if key not in keys:
             raise OutOfRangeError(f"parameter {key!r} does not apply to engine {engine!r}")
+    params = {key: _number(key, value) for key, value in params.items()}
     cfg = _checked(checks, {"k": 1.0, **params}, config)
     rec = record(cfg, run(cfg))
     if paper_literal and engine == "qutrit":
@@ -437,6 +444,10 @@ def _sweep_ergotropy_map(spec: SweepSpec) -> SweepTable:
     dim = spec.fixed_params.get("dim", 2)
     if dim not in (2, 3):
         raise OutOfRangeError(f"dim must be 2 or 3, got {dim}")
+    # 5 - dim is the dim of the other medium
+    foreign = sorted(MAP_KEYS_BY_DIM[5 - dim].intersection(spec.fixed_params))
+    if foreign:
+        raise OutOfRangeError(f"parameter {foreign[0]!r} does not apply to a dim={dim:g} map")
     t_axis = _t_axis(spec)
     grid = _qubit_grid(spec, t_axis) if dim == 2 else _qutrit_grid(spec, t_axis)
     return SweepTable(
@@ -520,130 +531,88 @@ def run_sweep(spec: SweepSpec, *, paper_literal: bool = False) -> SweepTable:
     return _sweep_ergotropy_diff(spec)
 
 
-_PRESET_BUILDERS = {}
-
-
-def _preset(name):
-    def register(fn):
-        _PRESET_BUILDERS[name] = fn
-        return fn
-
-    return register
-
-
 _DEFAULT_POINTS = 201
 
-
-@_preset("fig1")
-def _fig1() -> SweepSpec:
-    """Cyclic work against emission probability, one curve per damping."""
-    return SweepSpec(
-        target="work_vs_f",
-        fixed_params={"pg": 0.9, "dh": 1.0, "dc": 0.5, "k": 1.0},
-        swept=SweptAxis("f", 0.0, 1.0, _DEFAULT_POINTS),
-        series=SeriesAxis("gamma", (0.1, 0.2, 0.5, 0.7, 1.0)),
-    )
-
-
-@_preset("fig2")
-def _fig2() -> SweepSpec:
-    """Cyclic work against ground population, one curve per hot gap."""
-    return SweepSpec(
-        target="work_vs_pg",
-        fixed_params={"f": 0.5, "gamma": 0.5, "dc": 0.5, "k": 1.0},
-        swept=SweptAxis("pg", 0.0, 1.0, _DEFAULT_POINTS),
-        series=SeriesAxis("dh", (1.0, 5.0, 10.0, 20.0, 50.0)),
-    )
-
-
-@_preset("fig3")
-def _fig3() -> SweepSpec:
-    """Cyclic work against emission probability, one curve per ground population."""
-    return SweepSpec(
-        target="work_vs_f",
-        fixed_params={"gamma": 0.5, "dh": 1.0, "dc": 0.5, "k": 1.0},
-        swept=SweptAxis("f", 0.0, 1.0, _DEFAULT_POINTS),
-        series=SeriesAxis("pg", (0.0, 0.4, 0.5, 0.9)),
-    )
-
-
-@_preset("fig4")
-def _fig4() -> SweepSpec:
-    """Heat rejected and work, cyclic rows then finite-time (non-cyclic) rows."""
-    return SweepSpec(
-        target="heat_work_cyclic_vs_noncyclic",
-        fixed_params={"pg": 0.9, "gamma": 0.5, "k": 0.5, "dh": 1.0, "dc": 0.5},
-        swept=SweptAxis("f", 0.0, 1.0, _DEFAULT_POINTS),
-    )
+# the presets, as the flat key=value mappings a spec file holds
+PRESETS = {
+    # cyclic work against emission probability, one curve per damping
+    "fig1": dict(target="work_vs_f", sweep="f:0:1:201", series="gamma:0.1,0.2,0.5,0.7,1",
+                 pg=0.9, dh=1.0, dc=0.5, k=1.0),
+    # cyclic work against ground population, one curve per hot gap
+    "fig2": dict(target="work_vs_pg", sweep="pg:0:1:201", series="dh:1,5,10,20,50",
+                 f=0.5, gamma=0.5, dc=0.5, k=1.0),
+    # cyclic work against emission probability, one curve per ground population
+    "fig3": dict(target="work_vs_f", sweep="f:0:1:201", series="pg:0,0.4,0.5,0.9",
+                 gamma=0.5, dh=1.0, dc=0.5, k=1.0),
+    # heat rejected and work, cyclic rows then finite-time (non-cyclic) rows
+    "fig4": dict(target="heat_work_cyclic_vs_noncyclic", sweep="f:0:1:201",
+                 pg=0.9, gamma=0.5, k=0.5, dh=1.0, dc=0.5),
+    # work against emission probability for matched media: both start in the
+    # ground level, every damping is 0.4, and the qutrit gaps double the qubit's
+    "fig5": dict(target="qutrit_vs_qubit_work", sweep="f:0:1:201",
+                 pg=1.0, gamma=0.4, k=1.0, dh=1.0, dc=0.5, p0=1.0, p1=0.0, p2=0.0,
+                 lam1=0.4, lam2=0.4, k1=0.4, k2=0.4, dh10=1.0, dh20=2.0, dc10=0.5, dc20=1.0),
+    # efficiency against emission probability, non-cyclic qubit vs qutrit
+    "fig6": dict(target="efficiency", sweep="f:0:1:201",
+                 pg=0.9, gamma=0.4, k=0.4, dh=1.0, dc=0.5, p0=0.9, p1=0.1, p2=0.0,
+                 lam1=0.4, lam2=0.4, k1=0.4, k2=0.4, dh10=1.0, dh20=2.0, dc10=0.5, dc20=1.0),
+    # ergotropy landscapes over (f, t) and the qutrit-minus-qubit map, both media
+    # from the ground level; t stops at 1.28, inside the cap near t = 1.289 where
+    # lambda1(t) + lambda2(t) reaches 1 for rates (1, 0.25)
+    "fig7": dict(target="ergotropy_diff", sweep="f:0:1:201",
+                 pg=1.0, p0=1.0, p1=0.0, p2=0.0, rate=1.0, rate1=1.0, rate2=0.25,
+                 gap=1.0, gap10=1.0, gap20=2.0, tmax=1.28, tpoints=201),
+}
+PRESET_NAMES = tuple(sorted(PRESETS))
 
 
-@_preset("fig5")
-def _fig5() -> SweepSpec:
-    """Work against emission probability for matched qubit and qutrit media.
+def _number(key: str, value) -> float:
+    """value as a float; a value that is no number is bad input naming its key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise OutOfRangeError(f"{key} must be a number, got {value!r}") from None
 
-    Matched configuration: both start fully in the ground level, share the
-    damping value 0.4 on every damping parameter, and the qutrit gaps double
-    the qubit gap (hot 1 -> (1, 2), cold 0.5 -> (0.5, 1)).
+
+def _parse_swept(text: str) -> SweptAxis:
+    name, *numbers = text.split(":")
+    numbers = [_number("sweep", n) for n in numbers]
+    if len(numbers) == 2:
+        numbers.append(_DEFAULT_POINTS)
+    if len(numbers) != 3 or not float(numbers[2]).is_integer():
+        raise OutOfRangeError(f"sweep must be name:start:stop[:points], got {text!r}")
+    start, stop, points = numbers
+    return SweptAxis(name, start, stop, int(points))
+
+
+def _parse_series(text: str) -> SeriesAxis:
+    name, _, values = text.partition(":")
+    if not values:
+        raise OutOfRangeError(f"series must be name:v1,v2,..., got {text!r}")
+    return SeriesAxis(name, tuple(_number("series", v) for v in values.split(",")))
+
+
+def spec_from_mapping(data: dict) -> SweepSpec:
+    """The spec of a flat key=value mapping: a preset, or the keys of a spec file.
+
+    target and sweep (name:start:stop[:points]) are required, series
+    (name:v1,v2,...) is optional, and every other key is a fixed parameter.
     """
-    return SweepSpec(
-        target="qutrit_vs_qubit_work",
-        fixed_params={
-            "pg": 1.0, "gamma": 0.4, "k": 1.0, "dh": 1.0, "dc": 0.5,
-            "p0": 1.0, "p1": 0.0, "p2": 0.0,
-            "lam1": 0.4, "lam2": 0.4, "k1": 0.4, "k2": 0.4,
-            "dh10": 1.0, "dh20": 2.0, "dc10": 0.5, "dc20": 1.0,
-        },
-        swept=SweptAxis("f", 0.0, 1.0, _DEFAULT_POINTS),
-    )
-
-
-@_preset("fig6")
-def _fig6() -> SweepSpec:
-    """Efficiency against emission probability, non-cyclic qubit vs qutrit."""
-    return SweepSpec(
-        target="efficiency",
-        fixed_params={
-            "pg": 0.9, "gamma": 0.4, "k": 0.4, "dh": 1.0, "dc": 0.5,
-            "p0": 0.9, "p1": 0.1, "p2": 0.0,
-            "lam1": 0.4, "lam2": 0.4, "k1": 0.4, "k2": 0.4,
-            "dh10": 1.0, "dh20": 2.0, "dc10": 0.5, "dc20": 1.0,
-        },
-        swept=SweptAxis("f", 0.0, 1.0, _DEFAULT_POINTS),
-    )
-
-
-@_preset("fig7")
-def _fig7() -> SweepSpec:
-    """Ergotropy landscapes over (f, t) plus the qutrit-minus-qubit map.
-
-    Shared axes run to t = 1.28, inside the feasibility cap for rates
-    (1, 0.25) where lambda1(t) + lambda2(t) reaches 1 near t = 1.289. Both
-    media start fully in the ground level.
-    """
-    return SweepSpec(
-        target="ergotropy_diff",
-        fixed_params={
-            "pg": 1.0, "p0": 1.0, "p1": 0.0, "p2": 0.0,
-            "rate": 1.0, "rate1": 1.0, "rate2": 0.25,
-            "gap": 1.0, "gap10": 1.0, "gap20": 2.0,
-            "tmax": 1.28, "tpoints": _DEFAULT_POINTS,
-        },
-        swept=SweptAxis("f", 0.0, 1.0, _DEFAULT_POINTS),
-    )
-
-
-PRESET_NAMES = tuple(sorted(_PRESET_BUILDERS))
+    data = dict(data)
+    try:
+        target, swept = data.pop("target"), _parse_swept(data.pop("sweep"))
+    except KeyError as exc:
+        raise OutOfRangeError(f"missing required key {exc.args[0]!r}") from None
+    series = _parse_series(data.pop("series")) if "series" in data else None
+    fixed = {key: _number(key, value) for key, value in data.items()}
+    return SweepSpec(target=target, fixed_params=fixed, swept=swept, series=series)
 
 
 def preset(name: str) -> SweepSpec:
     """Return the named figure preset; raises UnknownPresetError otherwise."""
-    try:
-        builder = _PRESET_BUILDERS[name]
-    except KeyError:
-        raise UnknownPresetError(
-            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
-        ) from None
-    return builder()
+    if name not in PRESETS:
+        raise UnknownPresetError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    return spec_from_mapping(PRESETS[name])
 
 
 def with_points(spec: SweepSpec, points: int) -> SweepSpec:

@@ -15,7 +15,6 @@ from gadengine import (
     OutOfRangeError,
     ad_qubit,
     apply,
-    damping_from_schedule,
     fixed_point,
     gad_qubit,
     gad_qubit_populations,
@@ -214,14 +213,14 @@ class TestApply:
 
 class TestDampingSchedule:
     def test_zero_time(self):
-        assert damping_from_schedule(DampingSchedule(rate=3.7, time=0.0)) == 0.0
+        assert DampingSchedule(rate=3.7, time=0.0).damping == 0.0
 
     def test_half_life(self):
-        lam = damping_from_schedule(DampingSchedule(rate=1.0, time=math.log(2.0)))
+        lam = DampingSchedule(rate=1.0, time=math.log(2.0)).damping
         assert lam == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_rate(self):
-        assert damping_from_schedule(DampingSchedule(rate=0.0, time=123.0)) == 0.0
+        assert DampingSchedule(rate=0.0, time=123.0).damping == 0.0
 
     def test_negative_inputs(self):
         with pytest.raises(OutOfRangeError):

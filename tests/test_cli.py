@@ -1,3 +1,4 @@
+import hashlib
 import re
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from gadengine.cli import main
-from gadengine.sweeps import PRESET_NAMES, REPORT_ENGINES, preset
+from gadengine.sweeps import PRESET_NAMES, PRESETS, REPORT_ENGINES, preset
 
 
 def run_cli(*args):
@@ -55,6 +56,35 @@ class TestSweepCommand:
 
     def test_malformed_set_is_bad_input(self, capsys):
         assert run_cli("sweep", "fig1", "--set", "pg") == 2
+
+    def test_hash_in_a_set_value_is_no_comment(self, capsys):
+        assert run_cli("sweep", "fig1", "--points", "3", "--set", "pg=0.5#x") == 2
+        assert "pg must be a number, got '0.5#x'" in capsys.readouterr().err
+
+    def test_set_cannot_change_the_target(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run_cli("sweep", "fig1", "--points", "3", "--set", "target=work_vs_pg",
+                       "--out", str(out)) == 2
+        assert "'target'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("sweep", "f:0:1:2.5"), ("sweep", "f:0:abc:3"),
+                                            ("series", "gamma:0.1,x")])
+    def test_malformed_axis_names_its_key(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out.csv"
+        assert run_cli("sweep", "fig1", "--points", "3", "--set", f"{key}={value}",
+                       "--out", str(out)) == 2
+        assert re.search(rf"\b{key} must ", capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_written_as_spec_file_gives_the_same_bytes(self, tmp_path, capsys, name):
+        spec = tmp_path / f"{name}.txt"
+        spec.write_text("".join(f"{key}={value}\n" for key, value in PRESETS[name].items()))
+        assert run_cli("sweep", name, "--points", "21") == 0
+        from_preset = capsys.readouterr().out
+        assert run_cli("sweep", str(spec), "--points", "21") == 0
+        assert capsys.readouterr().out == from_preset
 
     def test_unwritable_out_is_bad_input(self, tmp_path, capsys):
         assert run_cli("sweep", "fig1", "--points", "3",
@@ -206,6 +236,28 @@ class TestErgomapCommand:
         assert "parameter 'dim' does not apply" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("system, key", [
+        *(("qubit", key) for key in ("p0", "p1", "p2", "rate1", "rate2", "gap10", "gap20")),
+        *(("qutrit", key) for key in ("pg", "rate", "gap")),
+    ])
+    def test_other_medium_key_is_bad_input(self, tmp_path, capsys, system, key):
+        out = tmp_path / "map.csv"
+        assert run_cli("ergomap", "--points", "3", "--set", f"system={system}",
+                       "--set", f"{key}=0.5", "--out", str(out)) == 2
+        assert f"parameter {key!r} does not apply" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim, key", [("2", "p0"), ("2", "gap20"), ("3", "pg"), ("3", "rate")])
+    def test_other_medium_key_in_spec_file_is_bad_input(self, tmp_path, capsys, dim, key):
+        spec = tmp_path / "spec.txt"
+        populations = "pg=1\n" if dim == "2" else "p0=1\np1=0\np2=0\n"
+        spec.write_text(f"target=ergotropy_map\nsweep=f:0:1:3\ndim={dim}\n"
+                        f"{populations}{key}=0.5\n")
+        out = tmp_path / "map.csv"
+        assert run_cli("sweep", str(spec), "--out", str(out)) == 2
+        assert f"parameter {key!r} does not apply to a dim={dim} map" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_population_is_bad_input(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text("target=ergotropy_map\nsweep=f:0:1:3\n")
@@ -214,6 +266,8 @@ class TestErgomapCommand:
 
 
 NON_FINITE = ("nan", "inf", "-inf")
+# the non-finite numbers, then values that are no number
+BAD_VALUES = NON_FINITE + ("abc", "")
 
 
 def _names_key(err: str, key: str, value: str) -> bool:
@@ -221,7 +275,7 @@ def _names_key(err: str, key: str, value: str) -> bool:
     return re.search(rf"\b{key}(={re.escape(value)}\b| must )", err) is not None
 
 
-@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("value", BAD_VALUES, ids=lambda value: value or "empty")
 @pytest.mark.parametrize("name, key", [(name, key) for name in PRESET_NAMES
                                        for key in sorted(preset(name).fixed_params)])
 def test_non_finite_preset_key_is_bad_input(tmp_path, capsys, name, key, value):
@@ -232,6 +286,22 @@ def test_non_finite_preset_key_is_bad_input(tmp_path, capsys, name, key, value):
     err = capsys.readouterr().err
     assert _names_key(err, key, value), err
     assert not out.exists()
+
+
+# sha256 of outputs that no change to the input path may alter
+@pytest.mark.parametrize("args, digest", [
+    (("ergomap", "--points", "41", "--set", "system=qubit"),
+     "73b93bf88d549c2c2c331a0182688659e7cd0c3532a96e4bcce76c001ca65b09"),
+    (("ergomap", "--points", "41", "--set", "system=qutrit"),
+     "a6ab1b18a07a75f6ebdc2d793017c834456837aa51dc26945c06e49631e49083"),
+    (("sweep", "fig5", "--points", "21", "--paper-literal"),
+     "5a6136a777460a15f2bf5f6e56360bb2b06d4bba5a17e5f1ded66a7375ac1f0c"),
+    (("sweep", "fig6", "--points", "21", "--paper-literal"),
+     "180f7179cae1c2766653027811bc568fbb64700b4e813f9e4db2493080129a46"),
+], ids=["qubit", "qutrit", "fig5-literal", "fig6-literal"])
+def test_output_bytes_hold(capsys, args, digest):
+    assert run_cli(*args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestPaperLiteralFlag:
@@ -323,6 +393,12 @@ class TestReportCommand:
         assert f"parameter {key!r} does not apply to engine {engine!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_set_without_equals_is_malformed(self, tmp_path, capsys):
+        spec = tmp_path / "run.txt"
+        spec.write_text("engine=cyclic\n" + _QUBIT_PARAMS)
+        assert run_cli("report", str(spec), "--set", "dh") == 2
+        assert "expected key=value, got 'dh'" in capsys.readouterr().err
+
     def test_missing_key_is_bad_input(self, tmp_path, capsys):
         spec = tmp_path / "run.txt"
         spec.write_text("engine=cyclic\npg=0.9\nf=0.2\ngamma=0.5\ndh=1\n")
@@ -339,7 +415,7 @@ def _engine_keys(engine):
 _REPORT_KEYS = [(engine, key) for engine in REPORT_ENGINES for key in _engine_keys(engine)]
 
 
-@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("value", BAD_VALUES, ids=lambda value: value or "empty")
 @pytest.mark.parametrize("engine, key", _REPORT_KEYS)
 def test_non_finite_report_key_is_bad_input(tmp_path, capsys, engine, key, value):
     spec = tmp_path / "run.txt"
