@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channels import apply_operators, gad_qubit_operators, gad_qutrit_operators
+from .channels import _matmul, apply_operators, gad_qubit_operators, gad_qutrit_operators
 from .errors import (
     InfeasibleDampingError,
     NoHeatAbsorbedError,
@@ -285,7 +285,7 @@ def _unitary_stroke(states: np.ndarray, u) -> np.ndarray:
     u_dag = u.conj().swapaxes(-1, -2)
     if np.max(np.abs(u @ u_dag - np.eye(states.shape[-1]))) > ATOL:
         raise OutOfRangeError("stroke operator is not unitary")
-    out = u @ states @ u_dag
+    out = _matmul(_matmul(u, states), u_dag)
     if np.max(np.abs(np.diagonal(out - states, axis1=-2, axis2=-1).real)) > ATOL:
         raise OutOfRangeError("stroke unitary must preserve populations")
     return out

@@ -64,6 +64,11 @@ class SweptAxis:
     def __post_init__(self):
         if self.points < 2:
             raise OutOfRangeError("swept axis needs at least 2 points")
+        # stop - start is non-finite for a NaN or infinite bound and for a span
+        # that overflows, each of which np.linspace would turn into NaN values
+        if not math.isfinite(self.stop - self.start):
+            raise OutOfRangeError("sweep must have finite bounds and span, got "
+                                  f"{self.name}:{self.start}:{self.stop}")
         if not self.stop > self.start:
             raise OutOfRangeError("swept axis must be strictly ascending")
 

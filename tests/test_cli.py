@@ -69,13 +69,26 @@ class TestSweepCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("sweep", "f:0:1:2.5"), ("sweep", "f:0:abc:3"),
-                                            ("series", "gamma:0.1,x")])
-    def test_malformed_axis_names_its_key(self, tmp_path, capsys, key, value):
+                                            ("series", "gamma:0.1,x"), ("sweep", "f:0:inf:3"),
+                                            ("sweep", "f:-inf:1:3"), ("sweep", "f:nan:1:3"),
+                                            ("sweep", "f:-1e308:1e308:3")])
+    def test_malformed_axis_names_its_key(self, tmp_path, capsys, recwarn, key, value):
         out = tmp_path / "out.csv"
         assert run_cli("sweep", "fig1", "--points", "3", "--set", f"{key}={value}",
                        "--out", str(out)) == 2
-        assert re.search(rf"\b{key} must ", capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{key} must ", err)
+        assert "RuntimeWarning" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
+
+    def test_non_finite_sweep_bound_in_a_spec_file(self, tmp_path, capsys, recwarn):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("".join(f"{key}={value}\n" for key, value in PRESETS["fig1"].items()
+                                if key != "sweep") + "sweep=f:0:inf:3\n")
+        assert run_cli("sweep", str(spec)) == 2
+        assert "sweep must have finite bounds" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_written_as_spec_file_gives_the_same_bytes(self, tmp_path, capsys, name):

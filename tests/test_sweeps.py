@@ -150,6 +150,10 @@ class TestRunSweep:
             SweptAxis("f", 0.0, 1.0, 1)
         with pytest.raises(OutOfRangeError):
             SweptAxis("f", 1.0, 0.0, 10)
+        for start, stop in [(0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan),
+                            (-1e308, 1e308)]:
+            with pytest.raises(OutOfRangeError, match="sweep must have finite bounds"):
+                SweptAxis("f", start, stop, 3)
 
     def test_every_engine_preset_balances_heat_and_work(self):
         for name in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6"):
