@@ -229,8 +229,15 @@ def gad_qutrit_populations(p0, p1, p2, f_prime, lambda1, lambda2):
     return q0, q1, q2
 
 
-def fixed_point(channel: KrausSet, *, tol: float = 1e-13, max_iter: int = 10**6) -> DensityMatrix:
+_FIXED_POINT_TOL = 1e-13
+_FIXED_POINT_MAX_ITER = 10**6
+
+
+def fixed_point(channel: KrausSet) -> DensityMatrix:
     """Unique stationary state, found by iterating ``apply`` to convergence.
+
+    Converged means successive iterates lie within 1e-13 in Hilbert-Schmidt
+    distance; GadEngineError is raised if that takes over 10**6 steps.
 
     Requires a strictly contractive channel: gamma > 0 (qubit), k > 0 (AD),
     or both lambdas > 0 with f' > 0 (qutrit; at f' = 0 every state with an
@@ -251,9 +258,11 @@ def fixed_point(channel: KrausSet, *, tol: float = 1e-13, max_iter: int = 10**6)
                 "f' = 0 admits a family of stationary states on the excited levels"
             )
     state = DensityMatrix(np.eye(channel.dim, dtype=complex) / channel.dim)
-    for _ in range(max_iter):
+    for _ in range(_FIXED_POINT_MAX_ITER):
         nxt = apply(channel, state)
-        if hs_distance(nxt, state) < tol:
+        if hs_distance(nxt, state) < _FIXED_POINT_TOL:
             return nxt
         state = nxt
-    raise GadEngineError(f"fixed-point iteration did not converge in {max_iter} steps")
+    raise GadEngineError(
+        f"fixed-point iteration did not converge in {_FIXED_POINT_MAX_ITER} steps"
+    )

@@ -60,7 +60,7 @@ def _set_pairs(items) -> dict:
 
 def _spec(base: dict, sets: dict, points) -> SweepSpec:
     spec = spec_from_mapping({**base, **sets})
-    return with_points(spec, points) if points else spec
+    return spec if points is None else with_points(spec, points)
 
 
 def _run_report(path: str, overrides, paper_literal: bool) -> SweepTable:

@@ -99,9 +99,10 @@ class DensityMatrix:
         """Real parts of the diagonal, in level order."""
         return np.real(np.diagonal(self.matrix))
 
-    def is_diagonal(self, atol: float = ATOL) -> bool:
+    def is_diagonal(self) -> bool:
+        """No off-diagonal entry exceeds ATOL in magnitude."""
         off = self.matrix - np.diag(np.diagonal(self.matrix))
-        return bool(np.max(np.abs(off)) <= atol)
+        return bool(np.max(np.abs(off)) <= ATOL)
 
 
 @dataclass(frozen=True)

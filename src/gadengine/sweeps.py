@@ -63,7 +63,7 @@ class SweptAxis:
 
     def __post_init__(self):
         if self.points < 2:
-            raise OutOfRangeError("swept axis needs at least 2 points")
+            raise OutOfRangeError(f"{self.name} needs at least 2 points, got {self.points}")
         # stop - start is non-finite for a NaN or infinite bound and for a span
         # that overflows, each of which np.linspace would turn into NaN values
         if not math.isfinite(self.stop - self.start):

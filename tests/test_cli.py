@@ -135,6 +135,15 @@ class TestSweepCommand:
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.5", "1"] * 2
 
 
+@pytest.mark.parametrize("command", [("sweep", "fig1"), ("ergomap",)])
+@pytest.mark.parametrize("points", ["0", "-3", "1"])
+def test_too_few_points_is_bad_input(tmp_path, capsys, command, points):
+    out = tmp_path / "out.csv"
+    assert run_cli(*command, "--points", points, "--out", str(out)) == 2
+    assert f"f needs at least 2 points, got {points}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _rejected_by_argparse(*args) -> int:
     with pytest.raises(SystemExit) as exc:
         run_cli(*args)
