@@ -184,7 +184,7 @@ def reservoir_baseline(beta_c: float, beta_h: float, cold_gap: float, hot_gap: f
     cold_gap = require_positive("cold_gap", cold_gap)
     hot_gap = require_positive("hot_gap", hot_gap)
     for name, beta in (("beta_c", beta_c), ("beta_h", beta_h)):
-        if beta < 0.0:
+        if not beta >= 0.0:
             raise OutOfRangeError(f"{name} must be >= 0, got {beta}")
     p_cold = 1.0 / (1.0 + math.exp(-beta_c * cold_gap))
     p_hot = 1.0 / (1.0 + math.exp(-beta_h * hot_gap))

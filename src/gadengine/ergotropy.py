@@ -31,6 +31,7 @@ from .states import (
     is_nonnegative,
     is_normalized,
     is_unit,
+    require_unit,
 )
 
 
@@ -86,14 +87,24 @@ def ergotropy(state: DensityMatrix, h: Hamiltonian) -> float:
     return passive_state(state, h).extractable
 
 
+def _checked_populations(initial) -> tuple:
+    initial = tuple(float(p) for p in initial)
+    if not (all(is_unit(p) for p in initial) and is_normalized(sum(initial))):
+        raise OutOfRangeError(
+            f"initial populations must lie in [0, 1] and sum to 1, got {initial}")
+    return initial
+
+
 def populations_at_time(initial, f: float, schedules) -> np.ndarray:
     """Evolve diagonal populations through the GAD channel at lambda(t).
 
     Qubits take one DampingSchedule, qutrits two (decay of levels 1 and 2
     toward the ground level). Matches the diagonal of the corresponding
-    Kraus-map application.
+    Kraus-map application. f and the initial populations must lie in [0, 1],
+    and the populations must sum to 1.
     """
-    pops = np.asarray([float(p) for p in initial], dtype=float)
+    pops = np.asarray(_checked_populations(initial))
+    f = require_unit("f", f)
     schedules = list(schedules)
     if pops.size == 2:
         if len(schedules) != 1:
@@ -165,10 +176,7 @@ def ergotropy_landscape(initial, h: Hamiltonian, f_axis, t_axis, rates) -> Ergot
     feasibility-checked first: every t with lambda1(t) + lambda2(t) > 1 is
     collected and reported in the raised error, never clamped.
     """
-    initial = tuple(float(p) for p in initial)
-    if not (all(is_unit(p) for p in initial) and is_normalized(sum(initial))):
-        raise OutOfRangeError(
-            f"initial populations must lie in [0, 1] and sum to 1, got {initial}")
+    initial = _checked_populations(initial)
     dim = len(initial)
     if dim != h.dim:
         raise DimensionMismatchError(f"initial has {dim} entries, spectrum has {h.dim}")

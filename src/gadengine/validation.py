@@ -156,12 +156,10 @@ def _check_trace_psd_preservation() -> CheckResult:
 
 def _check_evolved_populations() -> CheckResult:
     grid = np.linspace(0.0, 1.0, 11)
-    worst = 0.0
-    for f in grid:  # one f at a time keeps the batches, and validate's peak memory, small
-        g, pg = _grid(grid, grid)
-        out = _populations(apply_operators(gad_qubit_operators(f, g), _qubit_states(pg)))
-        closed = np.stack(gad_qubit_populations(pg, 1.0 - pg, f, g), axis=-1)
-        worst = max(worst, float(np.max(np.abs(out - closed))))
+    f, g, pg = _grid(grid, grid, grid)
+    out = _populations(apply_operators(gad_qubit_operators(f, g), _qubit_states(pg)))
+    closed = np.stack(gad_qubit_populations(pg, 1.0 - pg, f, g), axis=-1)
+    worst = float(np.max(np.abs(out - closed)))
     return CheckResult(
         "evolved_populations_closed_form", worst < TOL, f"max entrywise gap {worst:.3e}"
     )
@@ -172,24 +170,22 @@ def _check_inversion_condition() -> CheckResult:
     # on the threshold are rounding-ambiguous and only checked for agreement.
     axis = np.linspace(0.0, 1.0, 21)
     boundary_band = 1e-9
-    mismatches = 0
-    decided = 0
-    for f in axis:  # one f at a time keeps the batch, and validate's peak memory, small
-        g, pe = _grid(axis, axis)
-        denom = 1.0 - 2.0 * g * f
-        kept = denom > 0.0
-        g, pe, denom = g[kept], pe[kept], denom[kept]
-        pg = 1.0 - pe
-        states = diagonal_states(np.stack([pg, pe], axis=-1))
-        out = _populations(apply_operators(gad_qubit_operators(f, g), states))
-        channel_margin = out[:, 1] - out[:, 0]
-        printed_margin = pe * denom - pg * (1.0 + 2.0 * g * (f - 1.0))
-        near_channel = np.abs(channel_margin) < boundary_band
-        near_printed = np.abs(printed_margin) < boundary_band
-        sure = ~(near_channel | near_printed)
-        flipped = sure & ((channel_margin > 0.0) != (printed_margin > 0.0))
-        mismatches += int(np.count_nonzero(near_channel != near_printed) + np.count_nonzero(flipped))
-        decided += int(np.count_nonzero(sure))
+    f, g = _grid(axis, axis)
+    denom = 1.0 - 2.0 * g * f
+    kept = denom > 0.0
+    # kept (f, gamma) pairs as rows and pe as columns: one Kraus set per pair, not per point
+    f, g, denom = f[kept, None], g[kept, None], denom[kept, None]
+    pg, pe = 1.0 - axis, axis
+    states = diagonal_states(np.stack([pg, pe], axis=-1))
+    out = _populations(apply_operators(gad_qubit_operators(f, g), states))
+    channel_margin = out[..., 1] - out[..., 0]
+    printed_margin = pe * denom - pg * (1.0 + 2.0 * g * (f - 1.0))
+    near_channel = np.abs(channel_margin) < boundary_band
+    near_printed = np.abs(printed_margin) < boundary_band
+    sure = ~(near_channel | near_printed)
+    flipped = sure & ((channel_margin > 0.0) != (printed_margin > 0.0))
+    mismatches = int(np.count_nonzero(near_channel != near_printed) + np.count_nonzero(flipped))
+    decided = int(np.count_nonzero(sure))
     return CheckResult(
         "population_inversion_condition",
         mismatches == 0,

@@ -23,12 +23,10 @@ def gad_qutrit_uncorrected(f_prime: float, lambda1: float, lambda2: float) -> Kr
     set is not trace preserving. Construction skips the completeness check
     on purpose; compare against channels.gad_qutrit.
     """
-    kset = gad_qutrit(f_prime, lambda1, lambda2, check=False)
-    p = kset.params
-    ops = np.array(kset.operators)
-    sf = math.sqrt(p["f_prime"])
-    ops[3] = np.diag([sf * math.sqrt(max(1.0 - p["lambda1"] - p["lambda2"], 0.0)), sf, sf])
-    return _build(3, ops, {**p, "kind": "gad_qutrit_uncorrected"}, check=False)
+    ops = np.array(gad_qutrit(f_prime, lambda1, lambda2, check=False).operators)
+    sf = math.sqrt(f_prime)
+    ops[3] = np.diag([sf * math.sqrt(max(1.0 - lambda1 - lambda2, 0.0)), sf, sf])
+    return _build(3, ops, check=False)
 
 
 def noncyclic_pe_uncorrected(cfg: QubitEngineConfig) -> float:

@@ -1,15 +1,17 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gadengine import (
     DampingSchedule,
     DensityMatrix,
     DimensionMismatchError,
+    GadEngineError,
     InfeasibleDampingError,
     NoUniqueFixedPointError,
     OutOfRangeError,
@@ -24,6 +26,7 @@ from gadengine import (
     make_diagonal_state,
     validate,
 )
+from gadengine.variants import gad_qutrit_uncorrected
 
 UNIT_GRID = np.linspace(0.0, 1.0, 11)
 
@@ -274,3 +277,53 @@ class TestFixedPoint:
             fixed_point(gad_qutrit(0.5, 0.0, 0.3))
         with pytest.raises(NoUniqueFixedPointError):
             fixed_point(gad_qutrit(0.0, 0.3, 0.3))
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def max_gap(state, expected):
+    return float(np.max(np.abs(state.matrix - np.asarray(expected))))
+
+
+class TestFixedPointFromOperators:
+    def test_not_trace_preserving_rejected(self):
+        with pytest.raises(GadEngineError, match="completeness"):
+            fixed_point(gad_qutrit_uncorrected(0.3, 0.3, 0.3))
+
+    def test_near_identity_rejected(self):
+        with pytest.raises(NoUniqueFixedPointError):
+            fixed_point(gad_qubit(0.7, 1e-14))
+
+    def test_slow_channel(self):
+        assert max_gap(fixed_point(gad_qubit(0.7, 1e-3)), np.diag([0.7, 0.3])) < 1e-12
+
+    @settings(deadline=None)
+    @given(st.integers(0, 20), st.floats(1e-3, 1.0))
+    def test_qubit_closed_form(self, i, gamma):
+        f = i / 20
+        assert max_gap(fixed_point(gad_qubit(f, gamma)), np.diag([f, 1.0 - f])) < 1e-12
+
+    @settings(deadline=None)
+    @given(st.floats(0.05, 1.0), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+    def test_qutrit_closed_form(self, fp, l1, l2):
+        assume(l1 + l2 <= 1.0)
+        expected = np.diag([fp, 1.0 - fp, 1.0 - fp]) / (2.0 - fp)
+        assert max_gap(fixed_point(gad_qutrit(fp, l1, l2)), expected) < 1e-12
+
+    @pytest.mark.parametrize("ch", [gad_qubit(0.7, 0.4), gad_qutrit(0.6, 0.3, 0.5)],
+                             ids=["qubit", "qutrit"])
+    def test_unitary_covariance(self, ch):
+        v = random_unitary(np.random.default_rng(971), ch.dim)
+        rotated = replace(ch, operators=tuple(v @ op @ v.conj().T for op in ch.operators))
+        expected = v @ fixed_point(ch).matrix @ v.conj().T
+        assert max_gap(fixed_point(rotated), expected) < 1e-12
+
+    @pytest.mark.parametrize("ch", [gad_qubit(0.7, 0.4), gad_qutrit(0.6, 0.3, 0.5)],
+                             ids=["qubit", "qutrit"])
+    def test_operator_phases_leave_it_unchanged(self, ch):
+        phases = np.exp(1j * np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, len(ch.operators)))
+        rephased = replace(ch, operators=tuple(z * op for z, op in zip(phases, ch.operators)))
+        assert max_gap(fixed_point(rephased), fixed_point(ch).matrix) < 1e-12

@@ -73,6 +73,14 @@ class TestReservoirBaseline:
         with pytest.raises(OutOfRangeError):
             reservoir_baseline(1.0, 1.0, 0.0, 2.0)
 
+    def test_nan_beta_rejected(self):
+        with pytest.raises(OutOfRangeError, match="beta_c"):
+            reservoir_baseline(math.nan, 1.0, 0.5, 1.0)
+        with pytest.raises(OutOfRangeError, match="beta_h"):
+            reservoir_baseline(1.0, math.nan, 0.5, 1.0)
+        base = reservoir_baseline(math.inf, math.inf, 0.5, 1.0)  # zero temperature stays
+        assert (base.p_cold, base.p_hot) == (1.0, 1.0)
+
 
 class TestClosedFormHeats:
     def test_hot_stroke_example(self):

@@ -160,6 +160,19 @@ class TestPopulationsAtTime:
         with pytest.raises(BadDimensionError):
             populations_at_time([1.0, 0.0, 0.0], 0.5, [DampingSchedule(1, 1)])
 
+    @pytest.mark.parametrize("f", [2.0, -0.1, math.nan])
+    def test_weight_outside_unit_rejected(self, f):
+        with pytest.raises(OutOfRangeError, match="f must lie in"):
+            populations_at_time([0.7, 0.3], f, [DampingSchedule(1, 1)])
+
+    @pytest.mark.parametrize("initial", [[1.5, -0.5], [0.5, 0.6], [math.nan, 1.0],
+                                         [0.5, 0.3, 0.3]])
+    def test_bad_initial_populations_rejected(self, initial):
+        scheds = [DampingSchedule(1.0, 0.1)] * (len(initial) - 1)
+        with pytest.raises(OutOfRangeError,
+                           match=r"initial populations must lie in \[0, 1\] and sum to 1"):
+            populations_at_time(initial, 0.5, scheds)
+
 
 class TestLandscape:
     def qubit_grid(self, f_points=21, t_points=21, tmax=3.0, initial=(1.0, 0.0), rate=1.0):
