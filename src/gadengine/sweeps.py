@@ -23,6 +23,7 @@ import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,20 @@ def _same_cell(a, b) -> bool:
     return a == b or (a != a and b != b)
 
 
+@dataclass(frozen=True, eq=False)
+class Factored(Sequence):
+    """A column of repeated cells: an array of the distinct cells and one index per row."""
+
+    values: np.ndarray
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        return self.values[self.codes[index]]
+
+
 class _RowView(Sequence):
     """Read-only row-by-row view of a table's columns; each row is a tuple."""
 
@@ -131,11 +146,11 @@ class SweepTable:
     """A CSV table stored column by column.
 
     ``columns`` holds the column names and ``data`` one sequence of cells
-    per column, all of one length. Numeric columns are float64 arrays, which
-    ``emit_csv`` formats in bulk; any other column is a list whose cells go
-    through ``_fmt``. Build a table from ``data``, or from ``rows`` for small
-    tables, which are transposed once. ``rows`` is a read-only row view
-    derived from the columns.
+    per column, all of one length. A column is a float64 array, which
+    ``emit_csv`` formats in bulk; a ``Factored``, whose distinct cells it
+    formats once; or a list, whose cells go through ``_fmt`` one by one.
+    Build a table from ``data``, or from ``rows`` for small tables, which are
+    transposed once. ``rows`` is a read-only row view derived from the columns.
     """
 
     columns: tuple
@@ -440,9 +455,10 @@ def _t_axis(spec: SweepSpec) -> np.ndarray:
 
 
 def _long_form(grid) -> tuple:
-    """The f and t columns of a grid in long form, f-major and t-minor."""
+    """The f and t columns of a grid in long form, f-major and t-minor, factored by axis."""
     nf, nt = grid.values.shape
-    return np.repeat(grid.f_axis, nt), np.tile(grid.t_axis, nf)
+    return (Factored(grid.f_axis, np.repeat(np.arange(nf), nt)),
+            Factored(grid.t_axis, np.tile(np.arange(nt), nf)))
 
 
 def _sweep_ergotropy_map(spec: SweepSpec) -> SweepTable:
@@ -636,64 +652,57 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".12g")
+    # every NaN, whatever its sign or payload, formats as "nan"
+    return format(float(value), ".12g")
 
 
-# cells formatted per template application; bounds the memory of one chunk
+# cells per chunk of text; bounds the memory of one chunk
 _CHUNK_CELLS = 1 << 16
 
 
 def _float_cells(part: np.ndarray):
-    """(cells, field) of a float64 column chunk for the chunk's % template.
+    """The strings of a float64 column chunk, with the bytes of _fmt.
 
-    Cells are formatted with "%.12g", which gives the bytes of _fmt for every
-    float (nan, +-inf and -0 included). A chunk whose distinct bit patterns
-    are at most half its rows formats each pattern once and places the
-    strings with "%s"; bit patterns keep -0 apart from +0. Any other chunk
-    leaves the floats to the template: placing the strings costs about what
-    formatting once saves at half distinct, and more above it.
+    Runs of equal bit patterns (-0 apart from +0) are found in one pass, without a sort.
+    With at most half as many runs as rows (a landscape's zeros), one cell per run is
+    formatted and repeated; else every cell is, as repeating then costs what it saves.
     """
-    bits, inverse = np.unique(part.view(np.int64), return_inverse=True)
-    if 2 * bits.size > part.size:
-        return part, "%.12g"
-    text = ("%.12g," * bits.size) % tuple(bits.view(np.float64).tolist())
-    return np.array(text.split(",")[:-1], dtype=object)[inverse], "%s"
-
-
-def _text_chunks(table: SweepTable):
-    """Yield the data lines of a table as text, about _CHUNK_CELLS cells at a time.
-
-    Float64 columns go through _float_cells; cells of any other column are
-    formatted by _fmt first and inserted with "%s".
-    """
-    data = table.data
-    if not data:
-        return
-    floats = [isinstance(col, np.ndarray) and col.dtype == np.float64 for col in data]
-    step = max(1, _CHUNK_CELLS // len(data))
-    total = len(data[0])
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        block = np.empty((stop - start, len(data)), dtype=object)
-        fields = []
-        for j, (col, is_float) in enumerate(zip(data, floats)):
-            part = col[start:stop]
-            if is_float:
-                block[:, j], field = _float_cells(part)
-            else:
-                block[:, j], field = [_fmt(cell) for cell in part], "%s"
-            fields.append(field)
-        line = ",".join(fields) + "\n"
-        yield (line * (stop - start)) % tuple(block.ravel().tolist())
+    bits = part.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if 2 * starts.size > part.size:
+        return list(map(float.__format__, part.tolist(), repeat(".12g")))
+    text = list(map(float.__format__, part[starts].tolist(), repeat(".12g")))
+    return np.repeat(np.array(text, dtype=object), np.diff(starts, append=part.size))
 
 
 def _write_table(stream, table: SweepTable) -> None:
+    """Write preamble, header and data lines; the data about _CHUNK_CELLS cells at a time.
+
+    Factored values are formatted by _fmt once per table and gathered by codes; float64
+    columns go through _float_cells, other cells through _fmt. The strings fill the even
+    columns of one reused block whose odd columns hold the separators: one join per chunk.
+    """
     stream.write("".join(f"{line}\n" for line in (*table.preamble, ",".join(table.columns))))
-    for text in _text_chunks(table):
-        stream.write(text)
+    data = table.data
+    if not data:
+        return
+    texts = [np.array([_fmt(value) for value in col.values], dtype=object)
+             if isinstance(col, Factored) else None for col in data]
+    step = max(1, _CHUNK_CELLS // len(data))
+    total = len(data[0])
+    block = np.full((min(step, total), 2 * len(data)), ",", dtype=object)
+    block[:, -1] = "\n"
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        for j, (col, text) in enumerate(zip(data, texts)):
+            if text is not None:
+                cells = text[col.codes[start:stop]]
+            elif isinstance(col, np.ndarray) and col.dtype == np.float64:
+                cells = _float_cells(col[start:stop])
+            else:
+                cells = [_fmt(cell) for cell in col[start:stop]]
+            block[:stop - start, 2 * j] = cells
+        stream.write("".join(block[:stop - start].ravel().tolist()))
 
 
 def emit_csv(table: SweepTable, destination=None) -> None:

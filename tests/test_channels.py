@@ -13,10 +13,12 @@ from gadengine import (
     DimensionMismatchError,
     GadEngineError,
     InfeasibleDampingError,
+    KrausSet,
     NoUniqueFixedPointError,
     OutOfRangeError,
     ad_qubit,
     apply,
+    channels,
     fixed_point,
     gad_qubit,
     gad_qubit_populations,
@@ -26,6 +28,7 @@ from gadengine import (
     make_diagonal_state,
     validate,
 )
+from gadengine.states import ATOL
 from gadengine.variants import gad_qutrit_uncorrected
 
 UNIT_GRID = np.linspace(0.0, 1.0, 11)
@@ -67,10 +70,13 @@ class TestQubitGad:
         assert worst < 1e-12
 
     def test_operators_are_contractions(self):
+        def max_singular_value(kset):
+            return max(np.linalg.norm(op, 2) for op in kset.operators)
+
         for f in UNIT_GRID:
             for g in UNIT_GRID:
-                assert gad_qubit(f, g).max_singular_value() <= 1.0 + 1e-12
-        assert gad_qutrit(0.3, 0.4, 0.5).max_singular_value() <= 1.0 + 1e-12
+                assert max_singular_value(gad_qubit(f, g)) <= 1.0 + 1e-12
+        assert max_singular_value(gad_qutrit(0.3, 0.4, 0.5)) <= 1.0 + 1e-12
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
@@ -130,6 +136,17 @@ class TestQutritGad:
     def test_boundary_sum_is_allowed(self):
         ch = gad_qutrit(0.4, 0.5, 0.5)
         assert ch.completeness_defect() < 1e-12
+
+    def test_completeness_check_bounds_every_singular_value(self):
+        # A = sqrtm(I + a J), J the all-ones 3x3 matrix: A^dag A - I = a J has every
+        # entry within ATOL, but A's largest singular value is sqrt(1 + 3a) > 1 + ATOL;
+        # the Frobenius norm of A^dag A - I, 3a, is what rejects it
+        a = 0.9e-12
+        op = np.eye(3) + (math.sqrt(1.0 + 3.0 * a) - 1.0) / 3.0 * np.ones((3, 3))
+        assert KrausSet(dim=3, operators=(op.astype(complex),)).completeness_defect() <= ATOL
+        assert np.linalg.norm(op, 2) > 1.0 + ATOL
+        with pytest.raises(GadEngineError, match="completeness violated"):
+            channels._build(3, [op], check=True)
 
 
 class TestApply:

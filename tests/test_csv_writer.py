@@ -227,7 +227,7 @@ def test_chunk_boundaries(n):
     assert _emitted(table) == reference_csv(table.columns, list(zip(*table.data)))
 
 
-# --- repeated cells: each distinct bit pattern formatted once per chunk ------
+# --- repeated cells: each run of equal bit patterns formatted once ----------
 
 # distinct bit patterns that print alike or nearly so: -0.0 apart from +0.0,
 # NaN with the sign bit set and NaN with a payload, beside infinities, a
@@ -236,7 +236,23 @@ POOL = np.concatenate([
     np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, 1e300, -1e300, 1e-300, 0.5]),
     np.array([0xFFF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(np.float64),
 ])
+# +0.0 beside -0.0, then NaNs that differ in payload and sign bit: neighbouring
+# runs of these print alike (every NaN as nan) or nearly so
+ALIKE = np.concatenate([
+    np.array([0.0, -0.0]),
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+              0xFFF0000000000001], dtype=np.uint64).view(np.float64),
+])
 REPEAT_ROWS = sweeps._CHUNK_CELLS // 4  # rows per chunk of the four-column table
+
+
+def _runs(rng, values, rows, k):
+    """rows cells in exactly k runs of equal bit patterns, cycling through values.
+
+    values are at least two distinct bit patterns, so neighbouring runs differ.
+    """
+    cuts = np.sort(rng.choice(np.arange(1, rows), k - 1, replace=False))
+    return np.repeat(np.resize(values, k), np.diff(cuts, prepend=0, append=rows))
 
 
 def _distinct(rng, rows, k):
@@ -252,30 +268,93 @@ def _per_chunk(n, make):
 
 def _repeated_table(n, seed):
     rng = np.random.default_rng(seed)
-    half = REPEAT_ROWS // 2
-    return SweepTable(("pool", "switch", "half", "over"), data=(
-        # every chunk draws from the pool: formatted once per pattern
-        rng.choice(POOL, n),
-        # chunks alternate between the pool and mostly distinct cells
-        _per_chunk(n, lambda chunk, rows: rng.choice(POOL, rows) if chunk % 2
-                   else _distinct(rng, rows, rows)),
-        # exactly half of a full chunk distinct: still formatted once per pattern
-        _per_chunk(n, lambda chunk, rows: _distinct(rng, rows, half)),
-        # one more than half distinct: left to the template
-        _per_chunk(n, lambda chunk, rows: _distinct(rng, rows, half + 1)),
+    return SweepTable(("pool", "alike", "half", "switch"), data=(
+        # long runs of the pool, which run across chunk boundaries: one cell per run
+        _runs(rng, POOL, n, max(1, n // 5000)),
+        # short runs of +0.0, -0.0 and the NaNs, each run beside another pattern
+        _runs(rng, ALIKE, n, max(1, n // 3)),
+        # exactly half as many runs as the rows of a full chunk: one cell per run
+        _per_chunk(n, lambda chunk, rows: _runs(rng, POOL, rows, max(1, rows // 2))),
+        # chunks cycle through one run more than half (every cell formatted),
+        # all-distinct cells, and long runs of the pool
+        _per_chunk(n, lambda chunk, rows: (
+            _runs(rng, POOL, rows, min(rows, rows // 2 + 1)) if chunk % 3 == 0
+            else _distinct(rng, rows, max(rows, POOL.size)) if chunk % 3 == 1
+            else _runs(rng, POOL, rows, max(1, rows // 1000)))),
     ))
 
 
 @pytest.mark.parametrize("n", [REPEAT_ROWS + 1, 2 * REPEAT_ROWS, 3 * REPEAT_ROWS - 1])
 def test_repeated_cells_match_reference(n):
     table = _repeated_table(n, n)
+    pool = table.data[0].view(np.int64)
+    # a run of the pool column crosses every chunk boundary
+    assert all(pool[start - 1] == pool[start] for start in range(REPEAT_ROWS, n, REPEAT_ROWS))
     assert _emitted(table) == reference_csv(table.columns, list(zip(*table.data)))
 
 
 def test_repeated_cells_take_both_paths():
+    # the per-run path repeats an object array of one string per run; the
+    # other path formats every cell into a list
     part = _repeated_table(REPEAT_ROWS, 0).data
-    fields = [sweeps._float_cells(col)[1] for col in part]
-    assert fields == ["%s", "%.12g", "%s", "%.12g"]
+    cells = [sweeps._float_cells(col) for col in part]
+    paths = ["run" if isinstance(c, np.ndarray) else "cell" for c in cells]
+    assert paths == ["run", "run", "run", "cell"]
+    runs = [np.count_nonzero(np.diff(col.view(np.int64))) + 1 for col in part[2:]]
+    assert [2 * k for k in runs] == [REPEAT_ROWS, REPEAT_ROWS + 2]
+    for col, text in zip(part, cells):
+        assert list(text) == [reference_fmt(x) for x in col.tolist()]
+
+
+# --- factored columns: each distinct cell formatted once per table ---------
+
+MIXED_VALUES = np.array([math.nan, -math.nan, 0.0, -0.0, True, False, "qubit", "", 1.5, 1e300],
+                        dtype=object)
+FACTORED_ROWS = sweeps._CHUNK_CELLS // 3  # rows per chunk of the three-column table
+
+
+@pytest.mark.parametrize("n", [0, 1, FACTORED_ROWS + 5])
+def test_factored_columns_match_reference(n):
+    rng = np.random.default_rng(n)
+    table = SweepTable(("mixed", "float", "value"), data=(
+        sweeps.Factored(MIXED_VALUES, rng.integers(0, MIXED_VALUES.size, n)),
+        sweeps.Factored(POOL, np.arange(n) // 7 % POOL.size),
+        rng.choice(POOL, n),
+    ))
+    assert len(table.rows) == n
+    assert _emitted(table) == reference_csv(table.columns, list(zip(*table.data)))
+
+
+@pytest.mark.parametrize("system", ["qubit", "diff"])
+def test_landscape_axes_are_factored(system):
+    spec = _ergomap(system)
+    table = run_sweep(spec)
+    f_axis, t_axis = spec.swept.values(), sweeps._t_axis(spec)
+    assert all(isinstance(col, sweeps.Factored) for col in table.data[:2])
+    assert table.rows == list(zip(np.repeat(f_axis, t_axis.size), np.tile(t_axis, f_axis.size),
+                                  *table.data[2:]))
+
+
+class _Counted:
+    """A cell that counts how often it is converted to float."""
+
+    def __init__(self, value):
+        self.value, self.calls = value, 0
+
+    def __float__(self):
+        self.calls += 1
+        return self.value
+
+
+def test_factored_values_are_formatted_once_per_table():
+    # two chunks of the two-column table: once per row or per chunk would show
+    values = np.array([_Counted(x) for x in (0.25, -0.0, math.nan)], dtype=object)
+    n = sweeps._CHUNK_CELLS // 2 + 3
+    table = SweepTable(("x", "y"), data=(sweeps.Factored(values, np.arange(n) % 3), np.zeros(n)))
+    text = _emitted(table)
+    assert [cell.calls for cell in values] == [1, 1, 1]
+    assert text.count(b"\n") == n + 1
+    assert text.startswith(b"x,y\n0.25,0\n-0,0\nnan,0\n0.25,0\n")
 
 
 # --- streamed output is atomic ----------------------------------------------
