@@ -5,7 +5,7 @@ to the identity under sum(A_k^dag A_k), verified at construction unless the
 caller opts out (``check=False``). ``apply`` realizes the CPTP map
 rho -> sum_k A_k rho A_k^dag.
 
-Each channel has one formula, ``*_operators``, which stacks the Kraus
+Both media share one formula, ``gad_operators``, which stacks the Kraus
 operators of many parameter rows as an (..., K, d, d) array;
 ``apply_operators`` applies such a stack to a matching stack of states.
 The KrausSet constructors and ``apply`` are those at a single row, and
@@ -68,52 +68,32 @@ def _build(dim: int, ops, check: bool) -> KrausSet:
     return kset
 
 
-def gad_qubit_operators(f, gamma) -> np.ndarray:
-    """Qubit GAD Kraus operators (..., 4, 2, 2) with emission weight f.
+def gad_operators(f, lambdas) -> np.ndarray:
+    """GAD Kraus operators (..., 2d, d, d) with emission weight f, d = len(lambdas) + 1.
 
-    Operators:
-        A0 = sqrt(f)   * diag(1, sqrt(1-gamma))
-        A1 = sqrt(f)   * sqrt(gamma) |0><1|      (decay)
-        A2 = sqrt(1-f) * diag(sqrt(1-gamma), 1)
-        A3 = sqrt(1-f) * sqrt(gamma) |1><0|      (excitation)
+    lambdas are the |j> -> |0> probabilities (the qubit's is (gamma,)). In order:
+        A0      = sqrt(f)   * diag(1, sqrt(1 - lambda_j) ...)
+        A_j     = sqrt(f)   * sqrt(lambda_j) |0><j|      (decays)
+        A_d     = sqrt(1-f) * diag(sqrt(1 - lambda_1 - ...), 1 ...)
+        A_{d+j} = sqrt(1-f) * sqrt(lambda_j) |j><0|      (excitations)
+    A_d's ground entry subtracts the lambdas from 1 left to right and is
+    clamped at 0 against rounding; rows whose lambdas sum above 1 are the
+    caller's to reject.
     """
-    f, gamma = np.broadcast_arrays(np.asarray(f, dtype=float), np.asarray(gamma, dtype=float))
+    f, *lambdas = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (f, *lambdas)))
+    d = len(lambdas) + 1
     sf = np.sqrt(f)
     sg = np.sqrt(1.0 - f)
-    c = np.sqrt(1.0 - gamma)
-    ops = np.zeros(f.shape + (4, 2, 2), dtype=complex)
+    ground = 1.0
+    ops = np.zeros(f.shape + (2 * d, d, d), dtype=complex)
     ops[..., 0, 0, 0] = sf
-    ops[..., 0, 1, 1] = sf * c
-    ops[..., 1, 0, 1] = sf * np.sqrt(gamma)
-    ops[..., 2, 0, 0] = sg * c
-    ops[..., 2, 1, 1] = sg
-    ops[..., 3, 1, 0] = sg * np.sqrt(gamma)
-    return ops
-
-
-def gad_qutrit_operators(f_prime, lambda1, lambda2) -> np.ndarray:
-    """Three-level GAD Kraus operators (..., 6, 3, 3).
-
-    F3 carries sqrt(1 - lambda1 - lambda2) on the ground level, clamped at 0
-    against rounding; rows whose lambdas sum above 1 are the caller's to
-    reject.
-    """
-    f_prime, lambda1, lambda2 = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (f_prime, lambda1, lambda2))
-    )
-    sf = np.sqrt(f_prime)
-    sg = np.sqrt(1.0 - f_prime)
-    ops = np.zeros(f_prime.shape + (6, 3, 3), dtype=complex)
-    ops[..., 0, 0, 0] = sf
-    ops[..., 0, 1, 1] = sf * np.sqrt(1.0 - lambda1)
-    ops[..., 0, 2, 2] = sf * np.sqrt(1.0 - lambda2)
-    ops[..., 1, 0, 1] = sf * np.sqrt(lambda1)
-    ops[..., 2, 0, 2] = sf * np.sqrt(lambda2)
-    ops[..., 3, 0, 0] = sg * np.sqrt(np.maximum(1.0 - lambda1 - lambda2, 0.0))
-    ops[..., 3, 1, 1] = sg
-    ops[..., 3, 2, 2] = sg
-    ops[..., 4, 1, 0] = sg * np.sqrt(lambda1)
-    ops[..., 5, 2, 0] = sg * np.sqrt(lambda2)
+    for j, lam in enumerate(lambdas, start=1):
+        ground = ground - lam
+        ops[..., 0, j, j] = sf * np.sqrt(1.0 - lam)
+        ops[..., j, 0, j] = sf * np.sqrt(lam)
+        ops[..., d, j, j] = sg
+        ops[..., d + j, j, 0] = sg * np.sqrt(lam)
+    ops[..., d, 0, 0] = sg * np.sqrt(np.maximum(ground, 0.0))
     return ops
 
 
@@ -124,9 +104,9 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     array products, added in index order. At d = 2 and 3 this is several
     times faster than numpy's stacked matmul, which pays a high cost per
     matrix. On monomial operands (at most one nonzero entry per row and
-    column, as every GAD Kraus operator and every diagonal phase) each entry
-    has a single nonzero product, so it equals the matmul's bits up to the
-    sign of an exact zero; on dense operands the two differ by rounding.
+    column, as every GAD Kraus operator) each entry has a single nonzero
+    product, so it equals the matmul's bits up to the sign of an exact zero;
+    on dense operands the two differ by rounding.
     """
     d = a.shape[-1]
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
@@ -151,10 +131,10 @@ def apply_operators(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def gad_qubit(f: float, gamma: float, *, check: bool = True) -> KrausSet:
-    """Qubit generalized amplitude damping with emission weight f; see gad_qubit_operators."""
+    """Qubit generalized amplitude damping with emission weight f; see gad_operators."""
     f = require_unit("f", f)
     gamma = require_unit("gamma", gamma)
-    return _build(2, gad_qubit_operators(f, gamma), check)
+    return _build(2, gad_operators(f, (gamma,)), check)
 
 
 def ad_qubit(k: float, *, check: bool = True) -> KrausSet:
@@ -163,13 +143,11 @@ def ad_qubit(k: float, *, check: bool = True) -> KrausSet:
 
 
 def gad_qutrit(f_prime: float, lambda1: float, lambda2: float, *, check: bool = True) -> KrausSet:
-    """Three-level generalized amplitude damping.
+    """Three-level generalized amplitude damping; see gad_operators.
 
     lambda1 and lambda2 are the |1> -> |0> and |2> -> |0> transition
-    probabilities; their sum may not exceed 1 (F3 carries
-    sqrt(1 - lambda1 - lambda2) on the ground level). The excitation group
-    F3..F5 carries the prefactor sqrt(1 - f'), mirroring the qubit pattern,
-    which is the unique weighting under which sum(F^dag F) = I.
+    probabilities, and their sum may not exceed 1. The excitation group F3..F5
+    carries sqrt(1 - f'), the unique weighting under which sum(F^dag F) = I.
     """
     f_prime = require_unit("f_prime", f_prime)
     lambda1 = require_unit("lambda1", lambda1)
@@ -178,7 +156,7 @@ def gad_qutrit(f_prime: float, lambda1: float, lambda2: float, *, check: bool = 
         raise InfeasibleDampingError(
             f"lambda1 + lambda2 = {lambda1 + lambda2} exceeds 1; no valid channel"
         )
-    return _build(3, gad_qutrit_operators(f_prime, lambda1, lambda2), check)
+    return _build(3, gad_operators(f_prime, (lambda1, lambda2)), check)
 
 
 def apply(channel: KrausSet, state: DensityMatrix) -> DensityMatrix:

@@ -1,10 +1,11 @@
-"""Four-stroke heat-engine protocols for qubit and qutrit working media.
+"""Two-contact heat-engine protocols for qubit and qutrit working media.
 
-A cycle is: unitary stroke (population-preserving, identity by default),
-hot GAD contact on the hot spectrum, second unitary stroke, cold contact on
-the cold spectrum. The cyclic qubit engine resets populations exactly to the
-initial state (asymptotic cold contact); the non-cyclic variant applies a
-finite-time amplitude-damping stroke instead and generally ends elsewhere.
+A cycle is a hot GAD contact on the hot spectrum, then a cold contact on
+the cold spectrum; a report holds the initial state, the state after the
+hot contact and the end state. The cyclic qubit engine resets populations
+exactly to the initial state (asymptotic cold contact); the non-cyclic
+variant applies a finite-time amplitude-damping stroke instead and
+generally ends elsewhere.
 
 Every quantity is produced trace-based from the actual stroke states; the
 closed-form expressions below exist alongside so the two routes can be
@@ -12,24 +13,29 @@ cross-checked against each other. ``qubit_cycles`` and ``qutrit_cycles``
 run whole columns of parameters at once on stacks of stroke states; the
 ``run_*`` functions are the same engine at a single configuration.
 
-Sign conventions: heats are energy changes of the working medium during the
-contact (absorbed > 0), work is delivered work W = q_hot + q_cold, and the
-redistribution cost delta_w of a non-cyclic run is the hot-gap energy needed
-to restore the initial populations from the end-of-cycle state. The reported
-non-cyclic work is the cyclic work minus delta_w: the engine pays for
-re-preparing its working medium out of its own output. The cold-side heat
-entry absorbs that cost so that work = q_hot + q_cold holds identically.
+Sign conventions: heats are absorbed > 0, work is delivered work W = q_hot +
+q_cold, and delta_w is the hot-gap energy needed to restore the initial
+populations from the end state. The media keep different ledgers. The
+qutrit books each contact's energy change, q_cold = E_c(rho_end) -
+E_c(rho_hot), and reports delta_w without charging it. The non-cyclic
+qubit pays delta_w out of its output, q_cold = (E_c(rho0) - E_c(rho_hot))
+- delta_w, so its work is the cyclic work minus delta_w and, with pe the
+excited population,
+    work - (q_hot + E_c(rho_end) - E_c(rho_hot)) = (pe_end - pe0)(dh - dc).
+Its efficiency can exceed 1, as on the rows of ``sweep fig4 --points 3
+--set sweep=f:0:0.4:3 --set gamma=0.5 --set k=0.2``. The cyclic qubit ends
+in rho0, where the two ledgers agree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .channels import _matmul, apply_operators, gad_qubit_operators, gad_qutrit_operators
+from .channels import apply_operators, gad_operators, gad_qutrit_populations
 from .errors import (
     InfeasibleDampingError,
     NoHeatAbsorbedError,
@@ -61,8 +67,7 @@ class QubitEngineConfig:
     """Parameters of one qubit engine run.
 
     hot-stroke channel: gad_qubit(f, gamma); cold stroke: exact population
-    reset (cyclic) or ad_qubit(k) (non-cyclic). u1/u2 optionally install
-    population-preserving unitary strokes.
+    reset (cyclic) or ad_qubit(k) (non-cyclic).
     """
 
     initial_pg: float
@@ -71,8 +76,6 @@ class QubitEngineConfig:
     k: float = 1.0
     hot_gap: float = 1.0
     cold_gap: float = 0.5
-    u1: Optional[np.ndarray] = None
-    u2: Optional[np.ndarray] = None
 
     def __post_init__(self):
         for name in ("initial_pg", "f", "gamma", "k"):
@@ -109,8 +112,6 @@ class QutritEngineConfig:
     k2: float
     hot_levels: Hamiltonian
     cold_levels: Hamiltonian
-    u1: Optional[np.ndarray] = None
-    u2: Optional[np.ndarray] = None
 
     def __post_init__(self):
         pops = tuple(float(p) for p in self.initial_p)
@@ -144,8 +145,9 @@ class CycleReport:
 
     efficiency is NaN when no heat was absorbed (q_hot <= 0); the
     :func:`efficiency` helper raises NoHeatAbsorbedError in that case.
-    qubit_cycles and qutrit_cycles return one report for a whole column of
-    runs: its numbers are then arrays and its states (..., d, d) stacks.
+    states are the initial state, the state after the hot contact and the end
+    state. qubit_cycles and qutrit_cycles return one report for a whole column
+    of runs: its numbers are then arrays and its states (..., d, d) stacks.
     """
 
     states: tuple
@@ -275,33 +277,16 @@ def redistribution_work(cfg: QubitEngineConfig) -> float:
     ) * cfg.hot_gap
 
 
-def _unitary_stroke(states: np.ndarray, u) -> np.ndarray:
-    """u rho u^dag with one operator (d, d) or one per state (..., d, d)."""
-    if u is None:
-        return states
-    u = np.asarray(u, dtype=complex)
-    if u.shape not in (states.shape[-2:], states.shape):
-        raise OutOfRangeError(f"stroke operator shape {u.shape} does not match the state")
-    u_dag = u.conj().swapaxes(-1, -2)
-    if np.max(np.abs(u @ u_dag - np.eye(states.shape[-1]))) > ATOL:
-        raise OutOfRangeError("stroke operator is not unitary")
-    out = _matmul(_matmul(u, states), u_dag)
-    if np.max(np.abs(np.diagonal(out - states, axis1=-2, axis2=-1).real)) > ATOL:
-        raise OutOfRangeError("stroke unitary must preserve populations")
-    return out
-
-
 def _cycle(states: tuple, q_hot, q_cold, delta_w, cyclic: bool) -> CycleReport:
     work = q_hot + q_cold
     # q_hot below the algebra tolerance is rounding noise, not absorbed heat;
     # a ratio against it would be meaningless
     eff = np.divide(work, q_hot, out=np.full(np.shape(work), math.nan), where=q_hot > ATOL)
-    deviation = hs_distances(states[0], states[4])
+    deviation = hs_distances(states[0], states[2])
     return CycleReport(states, q_hot, q_cold, work, eff, deviation, delta_w, cyclic)
 
 
-def qubit_cycles(pg, f, gamma, k, hot_gap, cold_gap, *, cyclic: bool,
-                 u1=None, u2=None) -> CycleReport:
+def qubit_cycles(pg, f, gamma, k, hot_gap, cold_gap, *, cyclic: bool) -> CycleReport:
     """Qubit cycles on columns of parameters, broadcast against each other.
 
     The inputs must pass QubitEngineConfig's checks. cyclic=True closes each
@@ -312,35 +297,30 @@ def qubit_cycles(pg, f, gamma, k, hot_gap, cold_gap, *, cyclic: bool,
     h_hot = np.stack(np.broadcast_arrays(0.0, hot_gap), axis=-1)
     h_cold = np.stack(np.broadcast_arrays(0.0, cold_gap), axis=-1)
     rho0 = diagonal_states(np.stack([pg, 1.0 - pg], axis=-1))
-    rho1 = _unitary_stroke(rho0, u1)
-    rho2 = apply_operators(gad_qubit_operators(f, gamma), rho1)
-    rho3 = _unitary_stroke(rho2, u2)
-    q_hot = energies(rho2, h_hot) - energies(rho1, h_hot)
+    rho_hot = apply_operators(gad_operators(f, (gamma,)), rho0)
+    q_hot = energies(rho_hot, h_hot) - energies(rho0, h_hot)
     if cyclic:
-        states = (rho0, rho1, rho2, rho3, rho0)
-        q_cold = energies(rho0, h_cold) - energies(rho3, h_cold)
-        return _cycle(states, q_hot, q_cold, np.zeros_like(q_hot), True)
-    rho4 = apply_operators(gad_qubit_operators(1.0, k), rho3)
-    delta_w = energies(rho0, h_hot) - energies(rho4, h_hot)
-    q_cold = energies(rho0, h_cold) - energies(rho3, h_cold) - delta_w
-    return _cycle((rho0, rho1, rho2, rho3, rho4), q_hot, q_cold, delta_w, False)
+        q_cold = energies(rho0, h_cold) - energies(rho_hot, h_cold)
+        return _cycle((rho0, rho_hot, rho0), q_hot, q_cold, np.zeros_like(q_hot), True)
+    rho_end = apply_operators(gad_operators(1.0, (k,)), rho_hot)
+    delta_w = energies(rho0, h_hot) - energies(rho_end, h_hot)
+    q_cold = energies(rho0, h_cold) - energies(rho_hot, h_cold) - delta_w
+    return _cycle((rho0, rho_hot, rho_end), q_hot, q_cold, delta_w, False)
 
 
-def qutrit_cycles(initial_p, f_prime, lambda1, lambda2, k1, k2, hot_levels, cold_levels,
-                  *, u1=None, u2=None) -> CycleReport:
+def qutrit_cycles(initial_p, f_prime, lambda1, lambda2, k1, k2, hot_levels,
+                  cold_levels) -> CycleReport:
     """Qutrit cycles on columns of parameters; see qubit_cycles and run_qutrit.
 
     initial_p, hot_levels and cold_levels carry the level axis last (..., 3).
     """
     tau0 = diagonal_states(initial_p)
-    tau1 = _unitary_stroke(tau0, u1)
-    tau2 = apply_operators(gad_qutrit_operators(f_prime, lambda1, lambda2), tau1)
-    tau3 = _unitary_stroke(tau2, u2)
-    tau4 = apply_operators(gad_qutrit_operators(1.0, k1, k2), tau3)
-    q_hot = energies(tau2, hot_levels) - energies(tau1, hot_levels)
-    q_cold = energies(tau4, cold_levels) - energies(tau3, cold_levels)
-    delta_w = energies(tau0, hot_levels) - energies(tau4, hot_levels)
-    return _cycle((tau0, tau1, tau2, tau3, tau4), q_hot, q_cold, delta_w, False)
+    tau_hot = apply_operators(gad_operators(f_prime, (lambda1, lambda2)), tau0)
+    tau_end = apply_operators(gad_operators(1.0, (k1, k2)), tau_hot)
+    q_hot = energies(tau_hot, hot_levels) - energies(tau0, hot_levels)
+    q_cold = energies(tau_end, cold_levels) - energies(tau_hot, cold_levels)
+    delta_w = energies(tau0, hot_levels) - energies(tau_end, hot_levels)
+    return _cycle((tau0, tau_hot, tau_end), q_hot, q_cold, delta_w, False)
 
 
 _NUMBERS = ("q_hot", "q_cold", "work", "efficiency", "deviation", "redistribution_work")
@@ -354,7 +334,7 @@ def _single(report: CycleReport) -> CycleReport:
 
 def _run_qubit(cfg: QubitEngineConfig, cyclic: bool) -> CycleReport:
     return _single(qubit_cycles(cfg.initial_pg, cfg.f, cfg.gamma, cfg.k, cfg.hot_gap,
-                                cfg.cold_gap, cyclic=cyclic, u1=cfg.u1, u2=cfg.u2))
+                                cfg.cold_gap, cyclic=cyclic))
 
 
 def run_cyclic_qubit(cfg: QubitEngineConfig) -> CycleReport:
@@ -394,18 +374,27 @@ def qutrit_hot_heat(cfg: QutritEngineConfig) -> float:
     )
 
 
+def qutrit_cold_heat(cfg: QutritEngineConfig) -> float:
+    """Closed-form qutrit cold heat -(k1*q1*dc10 + k2*q2*dc20), on a config or on columns.
+
+    q1, q2 are the populations after the hot stroke, dc10, dc20 the cold gaps.
+    """
+    p0, p1, p2 = cfg.initial_p
+    _, q1, q2 = gad_qutrit_populations(p0, p1, p2, cfg.f_prime, cfg.lambda1, cfg.lambda2)
+    cold = cfg.cold_levels
+    return -(cfg.k1 * q1 * cold.gap(0, 1) + cfg.k2 * q2 * cold.gap(0, 2))
+
+
 def run_qutrit(cfg: QutritEngineConfig) -> CycleReport:
     """Execute one qutrit cycle; both contacts are finite-time GAD strokes.
 
-    q_cold is computed trace-based only (the closed form is not well defined
-    for it; see variants.qutrit_cold_heat_literal for the comparison form).
-    The final state generally differs from the initial state, so the run is
-    reported as non-cyclic with the corresponding deviation.
+    q_cold is trace-based; qutrit_cold_heat is its closed form, and
+    variants.qutrit_cold_heat_literal the paper's comparison form. The final
+    state generally differs from the initial state, so the run is reported
+    as non-cyclic with the corresponding deviation.
     """
-    return _single(qutrit_cycles(
-        cfg.initial_p, cfg.f_prime, cfg.lambda1, cfg.lambda2, cfg.k1, cfg.k2,
-        cfg.hot_levels.as_array(), cfg.cold_levels.as_array(), u1=cfg.u1, u2=cfg.u2,
-    ))
+    return _single(qutrit_cycles(cfg.initial_p, cfg.f_prime, cfg.lambda1, cfg.lambda2, cfg.k1,
+                                 cfg.k2, cfg.hot_levels.as_array(), cfg.cold_levels.as_array()))
 
 
 def efficiency(report: CycleReport) -> float:

@@ -1,7 +1,7 @@
 """The batched engine against the per-point engine it replaced.
 
-The reference below is a verbatim copy of the per-point path: the Kraus
-operators built one matrix at a time, ``apply`` as a loop over operators,
+The reference below is the per-point path that the batched engine replaced,
+with the same two contacts: the Kraus operators built one matrix at a time, ``apply`` as a loop over operators,
 ``energy`` and ``hs_distance`` on single matrices, and ``run_cyclic_qubit``,
 ``run_noncyclic_qubit`` and ``run_qutrit`` on top of them. The batched
 engine must give the same numbers and states bit for bit, row blocks must
@@ -99,20 +99,6 @@ def ref_hs_distance(a, b):
     return float(np.linalg.norm(a.matrix - b.matrix))
 
 
-def ref_unitary_stroke(state, u):
-    if u is None:
-        return state
-    u = np.asarray(u, dtype=complex)
-    if u.shape != state.matrix.shape:
-        raise OutOfRangeError(f"stroke operator shape {u.shape} does not match the state")
-    if np.max(np.abs(u @ u.conj().T - np.eye(state.dim))) > ATOL:
-        raise OutOfRangeError("stroke operator is not unitary")
-    out = DensityMatrix(u @ state.matrix @ u.conj().T)
-    if np.max(np.abs(out.populations - state.populations)) > ATOL:
-        raise OutOfRangeError("stroke unitary must preserve populations")
-    return out
-
-
 def ref_efficiency_or_nan(work, q_hot):
     return work / q_hot if q_hot > ATOL else math.nan
 
@@ -121,20 +107,18 @@ def ref_run_cyclic_qubit(cfg):
     h_hot = cfg.hot_hamiltonian
     h_cold = cfg.cold_hamiltonian
     rho0 = ref_make_diagonal_state([cfg.initial_pg, cfg.initial_pe])
-    rho1 = ref_unitary_stroke(rho0, cfg.u1)
-    rho2 = ref_apply(ref_gad_qubit(cfg.f, cfg.gamma), rho1)
-    rho3 = ref_unitary_stroke(rho2, cfg.u2)
-    rho4 = ref_make_diagonal_state([cfg.initial_pg, cfg.initial_pe])
-    q_hot = ref_energy(rho2, h_hot) - ref_energy(rho1, h_hot)
-    q_cold = ref_energy(rho4, h_cold) - ref_energy(rho3, h_cold)
+    rho_hot = ref_apply(ref_gad_qubit(cfg.f, cfg.gamma), rho0)
+    rho_end = ref_make_diagonal_state([cfg.initial_pg, cfg.initial_pe])
+    q_hot = ref_energy(rho_hot, h_hot) - ref_energy(rho0, h_hot)
+    q_cold = ref_energy(rho_end, h_cold) - ref_energy(rho_hot, h_cold)
     work = q_hot + q_cold
     return CycleReport(
-        states=(rho0, rho1, rho2, rho3, rho4),
+        states=(rho0, rho_hot, rho_end),
         q_hot=q_hot,
         q_cold=q_cold,
         work=work,
         efficiency=ref_efficiency_or_nan(work, q_hot),
-        deviation=ref_hs_distance(rho0, rho4),
+        deviation=ref_hs_distance(rho0, rho_end),
         redistribution_work=0.0,
         cyclic=True,
     )
@@ -144,22 +128,20 @@ def ref_run_noncyclic_qubit(cfg):
     h_hot = cfg.hot_hamiltonian
     h_cold = cfg.cold_hamiltonian
     rho0 = ref_make_diagonal_state([cfg.initial_pg, cfg.initial_pe])
-    rho1 = ref_unitary_stroke(rho0, cfg.u1)
-    rho2 = ref_apply(ref_gad_qubit(cfg.f, cfg.gamma), rho1)
-    rho3 = ref_unitary_stroke(rho2, cfg.u2)
-    rho4 = ref_apply(ref_gad_qubit(1.0, cfg.k), rho3)
-    q_hot = ref_energy(rho2, h_hot) - ref_energy(rho1, h_hot)
-    reset_cold = ref_energy(rho0, h_cold) - ref_energy(rho3, h_cold)
-    delta_w = ref_energy(rho0, h_hot) - ref_energy(rho4, h_hot)
+    rho_hot = ref_apply(ref_gad_qubit(cfg.f, cfg.gamma), rho0)
+    rho_end = ref_apply(ref_gad_qubit(1.0, cfg.k), rho_hot)
+    q_hot = ref_energy(rho_hot, h_hot) - ref_energy(rho0, h_hot)
+    reset_cold = ref_energy(rho0, h_cold) - ref_energy(rho_hot, h_cold)
+    delta_w = ref_energy(rho0, h_hot) - ref_energy(rho_end, h_hot)
     q_cold = reset_cold - delta_w
     work = q_hot + q_cold
     return CycleReport(
-        states=(rho0, rho1, rho2, rho3, rho4),
+        states=(rho0, rho_hot, rho_end),
         q_hot=q_hot,
         q_cold=q_cold,
         work=work,
         efficiency=ref_efficiency_or_nan(work, q_hot),
-        deviation=ref_hs_distance(rho0, rho4),
+        deviation=ref_hs_distance(rho0, rho_end),
         redistribution_work=delta_w,
         cyclic=False,
     )
@@ -169,21 +151,19 @@ def ref_run_qutrit(cfg):
     h_hot = cfg.hot_levels
     h_cold = cfg.cold_levels
     tau0 = ref_make_diagonal_state(cfg.initial_p)
-    tau1 = ref_unitary_stroke(tau0, cfg.u1)
-    tau2 = ref_apply(ref_gad_qutrit(cfg.f_prime, cfg.lambda1, cfg.lambda2), tau1)
-    tau3 = ref_unitary_stroke(tau2, cfg.u2)
-    tau4 = ref_apply(ref_gad_qutrit(1.0, cfg.k1, cfg.k2), tau3)
-    q_hot = ref_energy(tau2, h_hot) - ref_energy(tau1, h_hot)
-    q_cold = ref_energy(tau4, h_cold) - ref_energy(tau3, h_cold)
+    tau_hot = ref_apply(ref_gad_qutrit(cfg.f_prime, cfg.lambda1, cfg.lambda2), tau0)
+    tau_end = ref_apply(ref_gad_qutrit(1.0, cfg.k1, cfg.k2), tau_hot)
+    q_hot = ref_energy(tau_hot, h_hot) - ref_energy(tau0, h_hot)
+    q_cold = ref_energy(tau_end, h_cold) - ref_energy(tau_hot, h_cold)
     work = q_hot + q_cold
     return CycleReport(
-        states=(tau0, tau1, tau2, tau3, tau4),
+        states=(tau0, tau_hot, tau_end),
         q_hot=q_hot,
         q_cold=q_cold,
         work=work,
         efficiency=ref_efficiency_or_nan(work, q_hot),
-        deviation=ref_hs_distance(tau0, tau4),
-        redistribution_work=ref_energy(tau0, h_hot) - ref_energy(tau4, h_hot),
+        deviation=ref_hs_distance(tau0, tau_end),
+        redistribution_work=ref_energy(tau0, h_hot) - ref_energy(tau_end, h_hot),
         cyclic=False,
     )
 
@@ -218,17 +198,11 @@ unit = st.floats(0.0, 1.0)
 gap = st.floats(0.01, 50.0)
 
 
-def phases(dim):
-    """A diagonal-phase unitary, which preserves populations, or no stroke."""
-    angles = st.lists(st.floats(-math.pi, math.pi), min_size=dim, max_size=dim)
-    return st.one_of(st.none(), angles.map(lambda a: np.diag(np.exp(1j * np.array(a)))))
-
-
 @st.composite
 def qubit_configs(draw):
     return QubitEngineConfig(
         initial_pg=draw(unit), f=draw(unit), gamma=draw(unit), k=draw(unit),
-        hot_gap=draw(gap), cold_gap=draw(gap), u1=draw(phases(2)), u2=draw(phases(2)),
+        hot_gap=draw(gap), cold_gap=draw(gap),
     )
 
 
@@ -243,25 +217,8 @@ def qutrit_configs(draw):
     return QutritEngineConfig(
         initial_p=(p0, p1, max(0.0, 1.0 - p0 - p1)), f_prime=draw(unit), lambda1=lam1, lambda2=draw(st.floats(0.0, 1.0 - lam1)),
         k1=k1, k2=draw(st.floats(0.0, 1.0 - k1)),
-        hot_levels=draw(levels), cold_levels=draw(levels), u1=draw(phases(3)), u2=draw(phases(3)),
+        hot_levels=draw(levels), cold_levels=draw(levels),
     )
-
-
-def stacked_unitaries(cfgs, name, dim):
-    """One operator per row, the identity where a config has none; None if no row has one."""
-    ops = [getattr(cfg, name) for cfg in cfgs]
-    if all(op is None for op in ops):
-        return None
-    return np.stack([np.eye(dim, dtype=complex) if op is None else op for op in ops])
-
-
-def with_identity_strokes(cfg, dim, cfgs):
-    """The config as the batch runs it: identity strokes where others have one."""
-    fill = {}
-    for name in ("u1", "u2"):
-        if getattr(cfg, name) is None and any(getattr(c, name) is not None for c in cfgs):
-            fill[name] = np.eye(dim, dtype=complex)
-    return type(cfg)(**{**cfg.__dict__, **fill})
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,12 +227,12 @@ def test_qubit_batch_matches_per_point_and_closed_forms(cfgs, cyclic):
     batch = qubit_cycles(
         *(np.array([getattr(c, name) for c in cfgs])
           for name in ("initial_pg", "f", "gamma", "k", "hot_gap", "cold_gap")),
-        cyclic=cyclic, u1=stacked_unitaries(cfgs, "u1", 2), u2=stacked_unitaries(cfgs, "u2", 2),
+        cyclic=cyclic,
     )
     ref_run = ref_run_cyclic_qubit if cyclic else ref_run_noncyclic_qubit
     run = run_cyclic_qubit if cyclic else run_noncyclic_qubit
     for i, cfg in enumerate(cfgs):
-        assert_same_report(batch, i, ref_run(with_identity_strokes(cfg, 2, cfgs)))
+        assert_same_report(batch, i, ref_run(cfg))
         assert_same_single(run(cfg), ref_run(cfg))
         assert batch.q_hot[i] == pytest.approx(hot_stroke_heat(cfg), abs=ATOL)
         if cyclic:
@@ -296,33 +253,11 @@ def test_qutrit_batch_matches_per_point_and_closed_forms(cfgs):
           for name in ("f_prime", "lambda1", "lambda2", "k1", "k2")),
         np.array([c.hot_levels.levels for c in cfgs]),
         np.array([c.cold_levels.levels for c in cfgs]),
-        u1=stacked_unitaries(cfgs, "u1", 3), u2=stacked_unitaries(cfgs, "u2", 3),
     )
     for i, cfg in enumerate(cfgs):
-        assert_same_report(batch, i, ref_run_qutrit(with_identity_strokes(cfg, 3, cfgs)))
+        assert_same_report(batch, i, ref_run_qutrit(cfg))
         assert_same_single(run_qutrit(cfg), ref_run_qutrit(cfg))
         assert batch.q_hot[i] == pytest.approx(qutrit_hot_heat(cfg), abs=ATOL)
-
-
-def test_one_unitary_broadcasts_over_the_batch():
-    phase = np.diag([1.0, np.exp(0.4j)])
-    pg = np.array([0.2, 0.7, 0.9])
-    batch = qubit_cycles(pg, 0.3, 0.6, 0.5, 1.0, 0.5, cyclic=False, u1=phase, u2=phase)
-    for i in range(pg.size):
-        cfg = QubitEngineConfig(initial_pg=pg[i], f=0.3, gamma=0.6, k=0.5, u1=phase, u2=phase)
-        assert_same_report(batch, i, ref_run_noncyclic_qubit(cfg))
-
-
-def test_batched_stroke_checks_raise():
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(OutOfRangeError, match="preserve populations"):
-        qubit_cycles(np.array([0.5, 0.8]), 0.2, 0.5, 1.0, 1.0, 0.5, cyclic=True,
-                     u1=np.stack([np.eye(2), swap]))
-    with pytest.raises(OutOfRangeError, match="not unitary"):
-        qubit_cycles(0.8, 0.2, 0.5, 1.0, 1.0, 0.5, cyclic=True, u2=2.0 * np.eye(2))
-    with pytest.raises(OutOfRangeError, match="shape"):
-        qubit_cycles(np.array([0.5, 0.8]), 0.2, 0.5, 1.0, 1.0, 0.5, cyclic=True,
-                     u1=np.stack([np.eye(2)] * 3))
 
 
 # --- row blocks -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gadengine.engine as engine
 import gadengine.validation as validation
 from gadengine.engine import (
     QubitEngineConfig,
@@ -134,3 +135,30 @@ def test_closed_forms_on_columns_match_each_config():
         assert np.array_equal(form(columns), [form(cfg) for cfg in configs])
     assert np.array_equal(np.stack(noncyclic_populations(columns), axis=-1),
                           [noncyclic_populations(cfg) for cfg in configs])
+
+
+def _cold_stroke(mutate):
+    """engine.gad_operators with the cold stroke's arguments changed by mutate.
+
+    The qutrit engine builds its cold stroke as gad_operators(1.0, (k1, k2));
+    the check's hot strokes pass f' = 0.4 or a column, never the float 1.0.
+    """
+    original = engine.gad_operators
+
+    def patched(f, lambdas):
+        if isinstance(f, float) and f == 1.0:
+            f, lambdas = mutate(f, lambdas)
+        return original(f, lambdas)
+    return patched
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda f, lambdas: (f, lambdas[::-1]),
+    lambda f, lambdas: (0.999, lambdas),
+], ids=["k1_k2_swapped", "f_prime_0.999"])
+def test_wrong_cold_stroke_fails_the_cold_heat_check(monkeypatch, mutate):
+    assert validation._check_qutrit_cold_heat(False).passed
+    monkeypatch.setattr(engine, "gad_operators", _cold_stroke(mutate))
+    check = validation._check_qutrit_cold_heat(False)
+    assert check.name == "qutrit_cold_heat_trace_based"
+    assert not check.passed
